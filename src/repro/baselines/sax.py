@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..errors import SegmentationError
 from ..core.timeseries import TimeSeries
@@ -34,6 +33,11 @@ def gaussian_breakpoints(alphabet_size: int) -> List[float]:
     These are the values tabulated in the SAX paper (e.g. ``[-0.43, 0.43]``
     for three symbols, ``[-0.67, 0.0, 0.67]`` for four).
     """
+    # Loaded here, not at module import: scipy.stats costs about a second
+    # and ``import repro`` (every CLI call, every server boot) reaches this
+    # module.
+    from scipy import stats as scipy_stats
+
     if alphabet_size < 2:
         raise SegmentationError("alphabet size must be >= 2")
     quantiles = np.arange(1, alphabet_size) / alphabet_size

@@ -166,74 +166,53 @@ def _encode_fleet(dataset, args: argparse.Namespace) -> int:
 
 def _encode_fleet_store(matrix, houses, window: int, sampling: float,
                         args: argparse.Namespace) -> int:
-    """Encode the fleet straight into a bit-packed ``.rsym`` store."""
-    from .store import RLE, write_fleet_store
+    """Encode the fleet into a bit-packed store.
 
-    segment_days = getattr(args, "segment_days", 0)
-    if segment_days:
-        return _encode_segmented_store(matrix, houses, window, sampling,
-                                       segment_days, args)
-    store = write_fleet_store(
-        args.store, matrix,
-        alphabet_size=args.alphabet, method=args.method, window=window,
-        shared_table=args.global_table,
-        layout=RLE if args.rle else "dense",
-        meter_ids=[house.house_id for house in houses],
-        workers=args.workers,
-        sampling_interval=sampling,
-        query_index=getattr(args, "query_index", False),
-    )
-    if getattr(args, "query_index", False):
-        from .query import query_index_path
-
-        print(f"wrote query index {query_index_path(store.path)}")
-    raw_bytes = matrix.size * matrix.itemsize
-    print(f"wrote {store.path}: {store.n_meters} meters x "
-          f"{int(store.counts[0])} symbols ({store.layout} layout, "
-          f"{store.payload_nbytes} payload bytes, {store.file_nbytes} on disk; "
-          f"raw float64 fleet is {raw_bytes} bytes, "
-          f"{raw_bytes / max(1, store.file_nbytes):.1f}x larger)")
-    _print_store_measurement(store)
-    return 0
-
-
-def _encode_segmented_store(matrix, houses, window: int, sampling: float,
-                            segment_days: int, args: argparse.Namespace) -> int:
-    """Encode the fleet into a crash-safe segmented store, one span per N days."""
+    One ``.rsym`` file, or with ``--segment-days N`` a crash-safe ``.rsyms``
+    directory committed one N-day segment at a time.
+    """
     from .core.timeseries import SECONDS_PER_DAY
     from .errors import StoreError
-    from .store import RLE, write_segmented_fleet
+    from .store import RLE, write_fleet_store, write_segmented_fleet
 
-    aggregation_seconds = sampling * window
-    per_day = SECONDS_PER_DAY / aggregation_seconds
-    if abs(per_day - round(per_day)) >= 1e-9:
-        raise StoreError(
-            f"--segment-days needs a window that divides a day evenly "
-            f"({aggregation_seconds:g} s windows give {per_day:.2f} windows/day)"
-        )
-    segment_windows = int(round(per_day)) * int(segment_days)
-    store = write_segmented_fleet(
-        args.store, matrix,
+    options = dict(
         alphabet_size=args.alphabet, method=args.method, window=window,
         layout=RLE if args.rle else "dense",
         meter_ids=[house.house_id for house in houses],
-        segment_windows=segment_windows,
-        workers=args.workers,
-        sampling_interval=sampling,
+        workers=args.workers, sampling_interval=sampling,
     )
-    if getattr(args, "query_index", False):
-        from .query import write_query_index
+    segment_days = getattr(args, "segment_days", 0)
+    if segment_days:
+        aggregation_seconds = sampling * window
+        per_day = SECONDS_PER_DAY / aggregation_seconds
+        if abs(per_day - round(per_day)) >= 1e-9:
+            raise StoreError(
+                f"--segment-days needs a window that divides a day evenly "
+                f"({aggregation_seconds:g} s windows give {per_day:.2f} "
+                f"windows/day)"
+            )
+        store = write_segmented_fleet(
+            args.store, matrix,
+            segment_windows=int(round(per_day)) * int(segment_days), **options,
+        )
+    else:
+        store = write_fleet_store(
+            args.store, matrix, shared_table=args.global_table, **options,
+        )
+    with store:
+        if getattr(args, "query_index", False):
+            from .query import write_query_index
 
-        path = write_query_index(store, workers=args.workers)
-        print(f"wrote query index {path}")
-    raw_bytes = matrix.size * matrix.itemsize
-    print(f"wrote {store.path}: {store.n_segments} segments "
-          f"(generation {store.generation}), {store.n_meters} meters x "
-          f"{int(store.counts[0])} symbols ({store.layout} layout, "
-          f"{store.payload_nbytes} payload bytes; raw float64 fleet is "
-          f"{raw_bytes} bytes)")
-    _print_store_measurement(store)
-    store.close()
+            path = write_query_index(store, workers=args.workers)
+            print(f"wrote query index {path}")
+        raw_bytes = matrix.size * matrix.itemsize
+        print(f"wrote {store.path}: {store.n_segments} segment(s), "
+              f"{store.n_meters} meters x {int(store.counts[0])} symbols "
+              f"({store.layout} layout, {store.payload_nbytes} payload bytes, "
+              f"{store.file_nbytes} on disk; raw float64 fleet is "
+              f"{raw_bytes} bytes, "
+              f"{raw_bytes / max(1, store.file_nbytes):.1f}x larger)")
+        _print_store_measurement(store)
     return 0
 
 
@@ -314,7 +293,7 @@ def _cmd_compression(args: argparse.Namespace) -> int:
 def _cmd_store_info(args: argparse.Namespace) -> int:
     """Print a store's layout plus measured-vs-analytic compression."""
     from .errors import CorruptStoreError
-    from .store import SegmentedStore, open_store
+    from .store import open_store
 
     verify = getattr(args, "verify", False)
     try:
@@ -337,10 +316,9 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
         else:
             table_mode = "1 shared"
         print(f"store:    {store.path}")
-        if isinstance(store, SegmentedStore):
-            print(f"segments: {store.n_segments} (generation {store.generation}"
-                  + (f", {len(store.quarantined)} quarantined"
-                     if store.quarantined else "") + ")")
+        print(f"segments: {store.n_segments} (generation {store.generation}"
+              + (f", {len(store.quarantined)} quarantined"
+                 if store.quarantined else "") + ")")
         print(f"layout:   {store.layout} ({store.bits_per_symbol} bits/symbol, "
               f"alphabet {store.alphabet_size})")
         print(f"columns:  {store.n_meters} ({store.n_symbols} symbols total)")
@@ -357,12 +335,11 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
         _print_store_measurement(store)
         if verify:
             report = store.verify(strict=False)
-            quarantined = report.get("quarantined", [])
+            quarantined = report["quarantined"]
             if not store.checksummed:
                 print("checksums: none (format v1 store; rewrite to add them)")
             elif report["ok"] and not quarantined:
-                checked = report.get("columns_checked", store.n_meters)
-                print(f"checksums: ok (crc32c, {checked} columns verified)")
+                print(f"checksums: ok (crc32c, {store.n_meters} columns verified)")
             else:
                 failures = len(report["errors"]) + len(quarantined)
                 print(f"checksums: {failures} FAILURE(S)")

@@ -96,11 +96,9 @@ def compression_sweep(
     aggregation_seconds = [float(w) for w in aggregation_seconds]
     measured: Dict[Tuple[int, float], MeasuredCompression] = {}
     if store is not None:
-        from ..store.format import SymbolStore
-        from ..store.segments import SegmentedStore, open_store
+        from ..store import SymbolStore, open_store
 
-        already_open = isinstance(store, (SymbolStore, SegmentedStore))
-        opened = store if already_open else open_store(store)
+        opened = store if isinstance(store, SymbolStore) else open_store(store)
         model = CompressionModel(
             sampling_interval=sampling_interval, value_bits=value_bits
         )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..datasets.base import MeterDataset
 from ..errors import ExperimentError
@@ -53,6 +52,8 @@ def power_distribution(
     seed: int = 0,
 ) -> DistributionReport:
     """Histogram of raw readings across all houses plus distribution fits."""
+    from scipy import stats as scipy_stats  # slow to load; see gaussian_breakpoints
+
     if bin_width <= 0 or max_power <= 0:
         raise ExperimentError("bin_width and max_power must be positive")
     values: List[np.ndarray] = [house.mains.values for house in dataset]

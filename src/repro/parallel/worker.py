@@ -32,8 +32,6 @@ __all__ = [
     "run_grid_chunk",
     "StoreShardTask",
     "pack_store_shard",
-    "SegmentShardTask",
-    "pack_segment_shard",
     "PlanShardTask",
     "run_plan_shard",
 ]
@@ -97,110 +95,49 @@ def run_grid_chunk(task: GridChunkTask) -> List[ClassificationResult]:
 
 
 class StoreShardTask(NamedTuple):
-    """One contiguous meter shard to encode and bit-pack worker-side.
+    """One contiguous meter shard to bit-pack worker-side.
 
-    ``spec`` is a :class:`~repro.pipeline.fleet._FleetSpec`; ``shared_table``
-    is the already-fitted global table as a plain dict (``None`` means fit
-    one table per meter inside the worker — per-row work, so the merged
-    result is order-independent).
+    ``values`` holds the shard's symbol indices, or its raw samples when
+    ``spec`` (a :class:`~repro.pipeline.fleet._FleetSpec`) says how to encode
+    them first: against ``shared_table`` (the already-fitted global table as
+    a plain dict), or with one table fitted per meter when that is ``None``
+    — per-row work, so the merged result is order-independent.
     """
 
-    values: "object"                 # (meters, samples) float array
-    spec: "object"                   # _FleetSpec
-    shared_table: Optional[dict]
+    values: "object"                 # (meters, windows) indices or (meters, samples) values
+    bits: int
     layout: str
+    spec: "object" = None            # _FleetSpec, or None for indices
+    shared_table: Optional[dict] = None
 
 
 def pack_store_shard(task: StoreShardTask) -> Tuple[Optional[List[dict]], List[tuple]]:
-    """Encode one shard and return its packed store columns, in row order.
+    """Encode (when the task carries a spec) and pack one shard, in row order.
 
-    Returns ``(table_dicts, columns)`` where each column is
-    ``(payload_bytes, symbol_count, run_lengths_or_None)`` — exactly what
-    :class:`~repro.store.SymbolStoreWriter` appends.  Only the *packed*
-    bytes cross the process boundary, never the shard's index matrix.
+    Returns ``(table_dicts, columns)``: the per-meter tables a spec without a
+    shared table fitted (else ``None``), and per row the
+    ``(payload_bytes, symbol_count, run_lengths_or_None)`` that
+    :meth:`~repro.store.SymbolStoreWriter.append_columns` writes.  Only the
+    *packed* bytes cross the process boundary, never the shard's index
+    matrix.
     """
     from ..core.lookup import LookupTable
     from ..pipeline.fleet import FleetEncoder
-    from ..pipeline.stages import RLERuns
-    from ..store.format import DENSE
-    from ..store.packing import bits_for_alphabet, pack_indices
+    from ..store.format import pack_columns
 
     spec = task.spec
-    if task.shared_table is not None:
+    indices, table_dicts = task.values, None
+    if spec is not None and task.shared_table is not None:
         encoder = FleetEncoder.from_tables(
             LookupTable.from_dict(task.shared_table),
             window=spec.window, aggregator=spec.aggregator,
         )
         indices = encoder.encode(task.values)
-        table_dicts: Optional[List[dict]] = None
-    else:
+    elif spec is not None:
         encoder = spec.encoder(shared_table=False)
         indices = encoder.fit_encode(task.values)
         table_dicts = [table.to_dict() for table in encoder.tables]
-
-    bits = bits_for_alphabet(spec.alphabet_size)
-    width = indices.shape[1]
-    columns: List[tuple] = []
-    if task.layout == DENSE:
-        packed = pack_indices(indices, bits)
-        for row in range(indices.shape[0]):
-            columns.append((packed[row].tobytes(), width, None))
-    else:
-        runs = RLERuns.from_matrix(indices)
-        for row in range(indices.shape[0]):
-            lo, hi = int(runs.offsets[row]), int(runs.offsets[row + 1])
-            columns.append((
-                pack_indices(runs.values[lo:hi], bits).tobytes(),
-                width,
-                runs.run_lengths[lo:hi],
-            ))
-    return table_dicts, columns
-
-
-class SegmentShardTask(NamedTuple):
-    """One contiguous row block of an already-encoded segment to bit-pack.
-
-    Unlike :class:`StoreShardTask` the symbols are already quantised (the
-    segmented store's append path encodes before packing, so drift-epoch
-    tables stay with the ingest layer); the worker only packs.  Per-row work
-    merged in task order keeps appended segments byte-identical for every
-    worker count.
-    """
-
-    indices: "object"                # (rows, windows) int index matrix
-    bits: int
-    layout: str
-
-
-def pack_segment_shard(task: SegmentShardTask) -> List[tuple]:
-    """Pack one row block into store columns, in row order.
-
-    Returns ``(payload_bytes, symbol_count, run_lengths_or_None)`` per row —
-    the same column tuples :func:`pack_store_shard` produces.
-    """
-    import numpy as np
-
-    from ..pipeline.stages import RLERuns
-    from ..store.format import DENSE
-    from ..store.packing import pack_indices
-
-    indices = np.asarray(task.indices, dtype=np.int64)
-    width = indices.shape[1]
-    columns: List[tuple] = []
-    if task.layout == DENSE:
-        packed = pack_indices(indices, task.bits)
-        for row in range(indices.shape[0]):
-            columns.append((packed[row].tobytes(), width, None))
-    else:
-        runs = RLERuns.from_matrix(indices)
-        for row in range(indices.shape[0]):
-            lo, hi = int(runs.offsets[row]), int(runs.offsets[row + 1])
-            columns.append((
-                pack_indices(runs.values[lo:hi], task.bits).tobytes(),
-                width,
-                runs.run_lengths[lo:hi],
-            ))
-    return columns
+    return table_dicts, pack_columns(indices, task.bits, task.layout)
 
 
 class PlanShardTask(NamedTuple):
@@ -233,7 +170,7 @@ def run_plan_shard(task: PlanShardTask):
     """
     from ..obs import capture_telemetry, tracer
     from ..query.ops import ColumnSource
-    from ..store.segments import open_store
+    from ..store import open_store
 
     with capture_telemetry(
         task.trace, "plan.shard",

@@ -301,8 +301,7 @@ class FleetEncoder:
 
         Returns the flat :class:`~repro.pipeline.stages.RLERuns` container —
         three contiguous arrays instead of a ragged per-meter list — whose
-        row ``i`` equals ``RLEStage().run_batch(indices[i])`` (use
-        :meth:`RLERuns.pairs` for the legacy ``(runs, 2)`` view).
+        row ``i`` equals ``RLEStage().run_batch(indices[i])``.
         """
         return RLERuns.from_matrix(self.encode(values))
 

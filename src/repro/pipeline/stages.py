@@ -362,11 +362,6 @@ class RLERuns(NamedTuple):
         )
         return cumulative[self.offsets[1:]] - cumulative[self.offsets[:-1]]
 
-    def pairs(self, row: int) -> np.ndarray:
-        """Row ``row`` as the legacy ``(runs, 2)`` pair array."""
-        lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
-        return np.stack([self.values[lo:hi], self.run_lengths[lo:hi]], axis=1)
-
     def expand_row(self, row: int) -> np.ndarray:
         """Decode one row back to its flat symbol-index array."""
         lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import QueryError
-from ..store.format import SymbolStore
+from ..store.segments import SymbolStore
 from .index import QueryIndex
 
 __all__ = ["AggregateReport", "aggregate_store"]

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
-from ..store.format import SymbolStore
+from ..store.segments import SymbolStore, open_store
 from .aggregate import AggregateReport, aggregate_store
 from .index import QueryIndex, build_query_index, query_index_path
 from .ops import (
@@ -177,16 +177,13 @@ class QueryEngine:
     ) -> "QueryEngine":
         """Open a store and its ``.rsymx`` sidecar when one is present.
 
-        ``path`` may be a single ``.rsym`` file or a segmented-store
-        directory (:func:`~repro.store.segments.open_store` dispatches); a
-        segmented store keeps its sidecar inside the directory.  A sidecar
-        whose fingerprint no longer matches — a segment was appended or
-        quarantined since it was built — is dropped with a warning (emitted
-        once per sidecar path per process) instead of failing the open, and
-        queries rebuild in memory.
+        ``path`` may be a bare ``.rsym`` file or a segmented-store directory,
+        which keeps its sidecar inside.  A sidecar whose fingerprint no
+        longer matches — a segment was appended or quarantined, or the file
+        was rewritten, since it was built — is dropped with a warning
+        (emitted once per sidecar path per process) instead of failing the
+        open, and queries rebuild the index in memory.
         """
-        from ..store.segments import SegmentedStore, open_store
-
         store = open_store(path, mmap=mmap)
         sidecar = query_index_path(store.path)
         index = QueryIndex.open(sidecar) if sidecar.exists() else None
@@ -194,8 +191,6 @@ class QueryEngine:
             try:
                 index.check_store(store)
             except QueryError as exc:
-                if not isinstance(store, SegmentedStore):
-                    raise
                 key = str(sidecar.resolve())
                 # The warning dedups; the counter never does — a degraded
                 # store stays visible on /metrics long after the first open.

@@ -43,7 +43,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from ..errors import QueryError
-from ..store.format import SymbolStore
+from ..store.segments import SymbolStore
 
 __all__ = [
     "QueryIndex",

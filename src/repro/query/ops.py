@@ -837,7 +837,7 @@ class DriftReport:
     ids: List
     distances: np.ndarray          # (N,) total-variation distances in [0, 1]
     reference: str                 # "baseline" or "fleet-mean"
-    columns_decoded: int
+    columns_decoded: int           # columns this run decoded (0 off an index)
 
     def top(self, n: int = 10) -> List[tuple]:
         order = np.argsort(-self.distances, kind="stable")[: int(n)]
@@ -871,16 +871,25 @@ class DriftOperator(Operator):
     index: Optional[QueryIndex] = None
     baseline_histograms: Optional[np.ndarray] = None
 
-    def run_shard(self, source: ColumnSource, items: Sequence) -> np.ndarray:
+    def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
+        """``(histograms, columns this shard decoded)``.
+
+        The decode count is taken under the source lock, so reads other
+        threads make through the same source never land in this report.
+        """
         cols = [int(c) for c in items]
         subset = None if len(cols) == source.n_columns else cols
-        hist, _ = source.column_stats(subset, index=self.index)
-        return np.asarray(hist, dtype=np.int64)
+        with source._lock:
+            before = source.stats.columns_decoded
+            hist, _ = source.column_stats(subset, index=self.index)
+            decoded = source.stats.columns_decoded - before
+        return np.asarray(hist, dtype=np.int64), decoded
 
     def merge(self, parts, source, items, kept) -> DriftReport:
         k = source.alphabet_size
         hist = (
-            np.vstack(parts) if parts else np.zeros((0, k), dtype=np.int64)
+            np.vstack([h for h, _ in parts]) if parts
+            else np.zeros((0, k), dtype=np.int64)
         ).astype(np.float64)
         windows = hist.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):
@@ -917,7 +926,7 @@ class DriftOperator(Operator):
             ids=[source.ids[int(c)] for c in kept],
             distances=distances,
             reference=kind,
-            columns_decoded=source.stats.columns_decoded,
+            columns_decoded=sum(decoded for _, decoded in parts),
         )
 
 

@@ -206,25 +206,25 @@ def private_agg_body(report) -> Dict[str, Any]:
     }
 
 
-def store_info_body(store, name: str, generation: Optional[int]) -> Dict:
-    """The ``/stores/<name>`` description (store-info over the wire)."""
-    body: Dict[str, Any] = {
+def store_info_body(store, name: str) -> Dict:
+    """The ``/stores/<name>`` description (store-info over the wire).
+
+    ``generation`` is ``None`` for a bare ``.rsym`` file, which has no
+    manifest.
+    """
+    return {
         "name": name,
         "path": str(store.path),
         "n_meters": int(store.n_meters),
         "n_symbols": int(store.n_symbols),
         "alphabet_size": int(store.alphabet_size),
         "layout": store.layout,
+        "generation": store.generation,
+        "n_segments": int(store.n_segments),
+        "quarantined": [
+            {"segment": seg, "reason": why} for seg, why in store.quarantined
+        ],
     }
-    if generation is not None:
-        body["generation"] = int(generation)
-    quarantined = getattr(store, "quarantined", None)
-    if quarantined is not None:
-        body["n_segments"] = int(store.n_segments)
-        body["quarantined"] = [
-            {"segment": seg, "reason": why} for seg, why in quarantined
-        ]
-    return body
 
 
 def _plain(value) -> Any:

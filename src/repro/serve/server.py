@@ -62,7 +62,13 @@ from ..obs import (
     tracer as obs_tracer,
 )
 from ..query import Deadline, QueryConfig, QueryEngine
-from ..store import faults
+from ..store import (
+    append_segment,
+    faults,
+    find_segment,
+    scrub_store,
+    snapshot_stamp,
+)
 from ..store.faults import InjectedCrash
 from . import protocol
 from .admission import AdmissionGate
@@ -105,9 +111,9 @@ class ServerConfig:
 class _Snapshot:
     """One immutable open of a store: leased by requests, closed when idle.
 
-    ``generation`` is the manifest generation (segmented) or an
-    ``(mtime_ns, size)`` stamp (single file) the open observed; the manager
-    compares it against the directory to decide when to reload.
+    ``generation`` is the :func:`~repro.store.snapshot_stamp` the open
+    observed; the manager compares it against the disk to decide when to
+    reload.
     """
 
     def __init__(self, engine: QueryEngine, generation, degraded: bool) -> None:
@@ -167,18 +173,6 @@ class _StoreHandle:
         self._scrub_lock = threading.Lock()
         self._scrubbing = False
 
-    # -- generation watch --------------------------------------------------------
-
-    def _disk_generation(self):
-        """What is committed on disk right now (cheap: a dir listing/stat)."""
-        if self.path.is_dir():
-            from ..store.segments import _manifest_paths
-
-            manifests = _manifest_paths(self.path)
-            return max(gen for gen, _ in manifests) if manifests else -1
-        stat = self.path.stat()
-        return (stat.st_mtime_ns, stat.st_size)
-
     # -- snapshot lifecycle ------------------------------------------------------
 
     def lease(self) -> _Snapshot:
@@ -189,7 +183,7 @@ class _StoreHandle:
         """
         with self.lock:
             try:
-                disk = self._disk_generation()
+                disk = snapshot_stamp(self.path)
             except OSError as exc:
                 raise StoreError(f"cannot stat {self.path}: {exc}")
             snapshot = self.snapshot
@@ -205,71 +199,54 @@ class _StoreHandle:
 
     def _reopen(self, retiring: Optional[_Snapshot],
                 trial: Optional[bool] = None) -> _Snapshot:
-        """Open a fresh snapshot (strict when the breaker allows a trial)."""
+        """Open a fresh snapshot; a granted breaker trial needs a clean open.
+
+        The open itself never raises for quarantined segments or a rolled
+        back manifest: it reports each as a :class:`StoreIntegrityWarning`,
+        which counts one breaker failure and marks the snapshot
+        degraded.  A granted trial additionally records one failure when the
+        open reports damage (one success when it does not); a refused trial
+        serves degraded.
+        """
         import warnings as warnings_mod
 
-        strict_ok = self.breaker.allow_trial() if trial is None else trial
-        degraded = False
+        from ..errors import StoreIntegrityWarning
+
+        trial = self.breaker.allow_trial() if trial is None else trial
         with _OPEN_LOCK:
             with warnings_mod.catch_warnings(record=True) as caught:
                 warnings_mod.simplefilter("always")
-                if strict_ok:
-                    try:
-                        engine = self._open_engine(strict=True)
-                        self.breaker.record_success()
-                    except (CorruptStoreError, OSError):
-                        # OSError covers the scrub race: a segment already
-                        # moved to quarantine/ but the healed manifest not
-                        # yet committed — the non-strict open skips it.
+                try:
+                    engine = QueryEngine.open(self.path)
+                except (CorruptStoreError, OSError):
+                    # Nothing can be served: every manifest is damaged, or
+                    # a bare file (which has no segments to skip) is.
+                    if trial:
                         self.breaker.record_failure()
-                        engine = self._open_engine(strict=False)
-                        degraded = True
-                else:
-                    engine = self._open_engine(strict=False)
-                    degraded = True
-            # Quarantines/rollbacks during a non-strict open are integrity
-            # signals too — and mark the snapshot degraded even before the
-            # breaker trips.
-            from ..errors import StoreIntegrityWarning
-
-            integrity = [
-                w for w in caught
-                if isinstance(w.message, StoreIntegrityWarning)
-                and getattr(w.message, "reason", "") != "stale-index"
-            ]
-        if integrity:
-            degraded = True
-            for _ in integrity:
+                    raise
+        integrity = [
+            w for w in caught
+            if isinstance(w.message, StoreIntegrityWarning)
+            and getattr(w.message, "reason", "") != "stale-index"
+        ]
+        degraded = bool(integrity) or not trial
+        if trial:
+            if integrity:
                 self.breaker.record_failure()
+            else:
+                self.breaker.record_success()
+        for _ in integrity:
+            self.breaker.record_failure()
         if degraded:
             self.start_scrub()
         snapshot = _Snapshot(
-            engine, self._disk_generation(), degraded=degraded
+            engine, snapshot_stamp(self.path), degraded=degraded
         )
         if retiring is not None:
             retiring.retire()
             self.reloads_total += 1
         self.snapshot = snapshot
         return snapshot
-
-    def _open_engine(self, strict: bool) -> QueryEngine:
-        if self.path.is_dir():
-            from ..store.segments import SegmentedStore
-
-            if strict:
-                # Probe strictly (raises on any quarantine/rollback), then
-                # route through QueryEngine.open for the sidecar handling.
-                probe = SegmentedStore.open(self.path, strict=True)
-                probe.close()
-            engine = QueryEngine.open(self.path)
-            if strict and getattr(engine.store, "quarantined", None):
-                engine.close()
-                raise CorruptStoreError(
-                    f"{self.path.name} still quarantines segments",
-                    path=self.path, check="column_crc", hint="bit-rot",
-                )
-            return engine
-        return QueryEngine.open(self.path)
 
     def drop_snapshot(self) -> None:
         """Force the next lease to reopen (after a mid-query failure)."""
@@ -282,16 +259,12 @@ class _StoreHandle:
 
     def start_scrub(self) -> None:
         """Kick one background ``scrub_store(repair=True)``; idempotent."""
-        if not self.path.is_dir():
-            return
         with self._scrub_lock:
             if self._scrubbing:
                 return
             self._scrubbing = True
 
         def _scrub() -> None:
-            from ..store.segments import scrub_store
-
             try:
                 scrub_store(self.path, repair=True)
             except Exception:
@@ -574,13 +547,7 @@ class _Handler(BaseHTTPRequestHandler):
         handle = self.manager.handle(name)
         snapshot = handle.lease()
         try:
-            generation = (
-                snapshot.engine.store.generation
-                if hasattr(snapshot.engine.store, "generation") else None
-            )
-            body = protocol.store_info_body(
-                snapshot.engine.store, name, generation
-            )
+            body = protocol.store_info_body(snapshot.engine.store, name)
             body["degraded"] = snapshot.degraded
             body["breaker"] = handle.breaker.snapshot()
             self._send(200, body)
@@ -715,8 +682,6 @@ class _Handler(BaseHTTPRequestHandler):
         key = body.get("idempotency_key")
         if key is not None:
             reason = f"{reason}:key={key}"
-        from ..store.segments import SegmentedStore, append_segment
-
         with handle.append_lock:
             if key is not None:
                 prior = self._find_append(handle.path, reason)
@@ -726,8 +691,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return
             record = append_segment(handle.path, matrix, reason=reason)
             self.metrics.bump("appends_total")
-            with SegmentedStore.open(handle.path) as store:
-                generation = store.generation
+            generation = snapshot_stamp(handle.path)
         self._send(200, {
             "segment": record.name,
             "windows": int(record.windows),
@@ -744,18 +708,16 @@ class _Handler(BaseHTTPRequestHandler):
         a server SIGKILL between commit and response: the retry finds the
         segment and answers without appending again.
         """
-        from ..store.segments import SegmentedStore
-
-        with SegmentedStore.open(path) as store:
-            for record in store.records:
-                if record.reason == reason:
-                    return {
-                        "segment": record.name,
-                        "windows": int(record.windows),
-                        "n_symbols": int(record.n_symbols),
-                        "generation": int(store.generation),
-                    }
-        return None
+        found = find_segment(path, reason)
+        if found is None:
+            return None
+        generation, record = found
+        return {
+            "segment": record.name,
+            "windows": int(record.windows),
+            "n_symbols": int(record.n_symbols),
+            "generation": generation,
+        }
 
 
 class QueryServer:

@@ -11,15 +11,28 @@ stores the symbols themselves:
     (shift-mask broadcasts + ``np.packbits``; no Python loops), including
     lazy slice decoding at arbitrary symbol offsets.
 
-:class:`SymbolStore` / :class:`SymbolStoreWriter` (:mod:`repro.store.format`)
+:class:`SymbolStoreWriter` (:mod:`repro.store.format`)
     The columnar on-disk format: streamed column writes with a zip-style
-    trailing header, memory-mapped reads, dense and RLE payloads
+    trailing header, dense and RLE payloads
     (:class:`~repro.pipeline.stages.RLERuns` persisted flat), serialized
-    lookup tables riding along so ``decode()`` is self-contained.
+    lookup tables riding along so every file decodes on its own.  The same
+    module holds the private per-file segment reader: header validation,
+    CRC32C verification and memory-mapped column reads by position.
+
+:class:`SymbolStore` / :func:`open_store` (:mod:`repro.store.segments`)
+    The one store type.  A ``.rsyms`` directory of immutable checksummed
+    segments opens from its versioned, atomically committed manifest; a
+    bare ``.rsym`` file opens as a manifest-less, one-segment view of the
+    same class.  Column assembly across segments, boundary run merging,
+    per-segment table decode, ``verify`` and ``day_vectors`` exist once, so
+    no reader asks which kind it holds.  ``SegmentedStore`` is the same
+    class under its older name.  :func:`append_segment` and
+    :func:`scrub_store` are the crash-safe append and repair paths.
 
 :func:`write_fleet_store` (:mod:`repro.store.fleet`)
-    Shard-by-shard fleet persistence, ``ParallelExecutor``-compatible with
-    byte-identical files for every worker count.
+    Shard-by-shard fleet persistence through a ``ParallelExecutor``, with
+    byte-identical files for every worker count; segment appends pack
+    through the same shard task and write path.
 
 :mod:`repro.store.day_vectors`
     Table 1's classification tables as packed stores —
@@ -27,14 +40,10 @@ stores the symbols themselves:
     straight from packed columns, so grid cells sharing an encoding read
     one store instead of re-encoding the fleet.
 
-:mod:`repro.store.segments` / :mod:`repro.store.ingest`
-    Crash-safe append: a directory of immutable checksummed segments plus a
-    versioned manifest committed atomically (:class:`SegmentedStore`,
-    :func:`append_segment`, :func:`scrub_store`), and
-    :class:`FleetIngestor`, which streams
-    :class:`~repro.core.streaming.OnlineEncoder` fleets into it with
-    drift-triggered segment cuts.  :func:`open_store` dispatches on path
-    kind, so readers take either transparently.
+:mod:`repro.store.ingest`
+    :class:`FleetIngestor` streams
+    :class:`~repro.core.streaming.OnlineEncoder` fleets into a segmented
+    store with drift-triggered segment cuts.
 
 :mod:`repro.store.checksum` / :mod:`repro.store.faults`
     CRC32C (pure numpy, lane-parallel) covering every payload byte, and the
@@ -51,7 +60,20 @@ from .packing import (
     unpack_indices,
     unpack_slice,
 )
-from .format import DENSE, RLE, SymbolStore, SymbolStoreWriter
+from .format import DENSE, RLE, SymbolStoreWriter
+from .segments import (
+    ScrubReport,
+    SegmentRecord,
+    SegmentedStore,
+    SymbolStore,
+    append_segment,
+    create_segmented_store,
+    find_segment,
+    open_store,
+    scrub_store,
+    snapshot_stamp,
+    write_segmented_fleet,
+)
 from .fleet import write_fleet_store
 from .day_vectors import (
     day_vector_store_path,
@@ -60,16 +82,6 @@ from .day_vectors import (
     write_day_vector_store,
 )
 from .checksum import crc32c, crc32c_combine, crc32c_hex
-from .segments import (
-    ScrubReport,
-    SegmentRecord,
-    SegmentedStore,
-    append_segment,
-    create_segmented_store,
-    open_store,
-    scrub_store,
-    write_segmented_fleet,
-)
 from .ingest import FleetIngestor
 
 __all__ = [
@@ -88,12 +100,14 @@ __all__ = [
     "crc32c_hex",
     "create_segmented_store",
     "day_vector_store_path",
+    "find_segment",
     "load_day_vectors",
     "open_store",
     "pack_indices",
     "packed_nbytes",
     "scrub_store",
     "slice_byte_window",
+    "snapshot_stamp",
     "store_from_ml_dataset",
     "symbol_dtype",
     "unpack_indices",

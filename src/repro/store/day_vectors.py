@@ -20,7 +20,8 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from ..errors import StoreError
-from .format import DENSE, SymbolStore, SymbolStoreWriter
+from .format import DENSE, SymbolStoreWriter
+from .segments import SymbolStore
 
 __all__ = [
     "day_vector_store_path",

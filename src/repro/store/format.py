@@ -60,7 +60,7 @@ import mmap as _mmap
 import os
 import struct
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from .packing import (
     unpack_slice,
 )
 
-__all__ = ["SymbolStore", "SymbolStoreWriter", "DENSE", "RLE"]
+__all__ = ["SymbolStoreWriter", "DENSE", "RLE", "pack_columns"]
 
 MAGIC_HEAD = b"RSYMSTR1"
 MAGIC_TAIL = b"RSYMEND1"
@@ -136,6 +136,38 @@ def _expected_payload_nbytes(header: Dict) -> Optional[int]:
         return int(offsets[-1]) + packed_nbytes(int(header["counts"][-1]), bits)
     except (KeyError, IndexError, TypeError, ValueError):
         return None
+
+
+def _window_bounds(width: int, window_range: Optional[tuple]) -> Tuple[int, int]:
+    """``window_range`` clipped to ``[0, width]`` (``None`` = everything)."""
+    start, stop = (0, width) if window_range is None else window_range
+    start = max(0, int(start))
+    stop = width if stop is None else min(int(stop), width)
+    return start, stop
+
+
+def pack_columns(matrix: np.ndarray, bits: int, layout: str) -> List[tuple]:
+    """``(payload, count, run_lengths_or_None)`` per row of a symbol matrix.
+
+    The packing half of every writer: dense rows pack with one vectorized
+    call, RLE rows run-length encode with one :meth:`RLERuns.from_matrix`
+    pass.  Each row's bytes depend only on that row, so shards packed in
+    worker processes and merged in task order give byte-identical files.
+    """
+    width = matrix.shape[1]
+    if layout == DENSE:
+        packed = pack_indices(matrix, bits)
+        return [(packed[row].tobytes(), width, None) for row in range(matrix.shape[0])]
+    runs = RLERuns.from_matrix(matrix)
+    columns = []
+    for row in range(matrix.shape[0]):
+        lo, hi = int(runs.offsets[row]), int(runs.offsets[row + 1])
+        columns.append((
+            pack_indices(runs.values[lo:hi], bits).tobytes(),
+            width,
+            runs.run_lengths[lo:hi],
+        ))
+    return columns
 
 
 class SymbolStoreWriter:
@@ -210,24 +242,9 @@ class SymbolStoreWriter:
     ) -> None:
         """Pack and write one column of symbol indices."""
         arr = np.asarray(indices, dtype=np.int64).ravel()
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet_size):
-            raise StoreError(
-                f"symbol indices out of range for alphabet of size "
-                f"{self.alphabet_size}"
-            )
-        if self.layout == DENSE:
-            self._append_payload(
-                column_id, pack_indices(arr, self.bits_per_symbol).tobytes(),
-                count=arr.size, table=table, label=label,
-            )
-        else:
-            runs = RLERuns.from_matrix(arr.reshape(1, arr.size))
-            self.append_runs(
-                column_id,
-                pack_indices(runs.values, self.bits_per_symbol).tobytes(),
-                run_lengths=runs.run_lengths,
-                count=arr.size, table=table, label=label,
-            )
+        self.append_matrix(
+            [column_id], arr.reshape(1, arr.size), tables=[table], labels=[label]
+        )
 
     def append_matrix(
         self,
@@ -240,7 +257,7 @@ class SymbolStoreWriter:
 
         Dense shards pack every row in a single ``np.packbits`` call; RLE
         shards run-length encode the shard with one
-        :meth:`RLERuns.from_matrix` pass.
+        :meth:`RLERuns.from_matrix` pass (see :func:`pack_columns`).
         """
         matrix = np.asarray(indices, dtype=np.int64)
         if matrix.ndim != 2:
@@ -257,25 +274,30 @@ class SymbolStoreWriter:
         label_list = list(labels) if labels is not None else [None] * len(ids)
         if len(table_list) != len(ids) or len(label_list) != len(ids):
             raise StoreError("tables/labels must match the number of rows")
-        if self.layout == DENSE:
-            packed = pack_indices(matrix, self.bits_per_symbol)
-            for row, column_id in enumerate(ids):
-                self._append_payload(
-                    column_id, packed[row].tobytes(), count=matrix.shape[1],
-                    table=table_list[row], label=label_list[row],
+        self.append_columns(
+            ids, pack_columns(matrix, self.bits_per_symbol, self.layout),
+            tables=table_list, labels=label_list,
+        )
+
+    def append_columns(
+        self,
+        column_ids: Sequence,
+        columns: Sequence[tuple],
+        tables: Optional[Sequence[Optional[LookupTable]]] = None,
+        labels: Optional[Sequence[Optional[str]]] = None,
+    ) -> None:
+        """Write already-packed :func:`pack_columns` output, in row order."""
+        for row, (payload, count, run_lengths) in enumerate(columns):
+            table = tables[row] if tables is not None else None
+            label = labels[row] if labels is not None else None
+            if self.layout == DENSE:
+                self.append_packed(
+                    column_ids[row], payload, count, table=table, label=label
                 )
-        else:
-            runs = RLERuns.from_matrix(matrix)
-            for row, column_id in enumerate(ids):
-                lo, hi = int(runs.offsets[row]), int(runs.offsets[row + 1])
+            else:
                 self.append_runs(
-                    column_id,
-                    pack_indices(
-                        runs.values[lo:hi], self.bits_per_symbol
-                    ).tobytes(),
-                    run_lengths=runs.run_lengths[lo:hi],
-                    count=matrix.shape[1],
-                    table=table_list[row], label=label_list[row],
+                    column_ids[row], payload, run_lengths, count,
+                    table=table, label=label,
                 )
 
     def append_packed(
@@ -463,12 +485,13 @@ class SymbolStoreWriter:
             pass
 
 
-class SymbolStore:
-    """Read-side of a ``.rsym`` store: lazy, memory-mapped symbol columns.
+class _Segment:
+    """One ``.rsym`` file: validated header, checksums, column reads.
 
-    Open with :meth:`open` (``mmap=True`` by default — decoding a slice then
-    touches only that slice's pages) and read through :meth:`indices`,
-    :meth:`matrix`, :meth:`decode` or :meth:`day_vectors`.
+    The private primitive under :class:`~repro.store.SymbolStore`, which
+    assembles one or more segments into a store; every read here takes
+    column *positions* (``None`` = all columns), never ids.  Decoding a
+    slice touches only that slice's pages of the memory map.
     """
 
     def __init__(
@@ -486,7 +509,6 @@ class SymbolStore:
         self.offsets = np.asarray(header["offsets"], dtype=np.int64)
         self.metadata: Dict = header.get("metadata") or {}
         self._tables = deserialize_tables(header.get("tables"))
-        self._id_index = {column_id: i for i, column_id in enumerate(self.ids)}
         checksums = header.get("checksums") or {}
         columns_crc = checksums.get("columns")
         self._column_crcs = (
@@ -515,8 +537,8 @@ class SymbolStore:
         mmap: bool = True,
         prefetch: bool = True,
         verify: str = "lazy",
-    ) -> "SymbolStore":
-        """Open a store, memory-mapped (default) or fully read into memory.
+    ) -> "_Segment":
+        """Open a segment, memory-mapped (default) or fully read into memory.
 
         Both modes decode to bit-identical arrays — the parity tests pin it.
         ``prefetch`` issues ``madvise(MADV_WILLNEED)`` on the mapping so a
@@ -640,23 +662,12 @@ class SymbolStore:
         """Drop the payload reference (releases the memory map)."""
         self._payload = np.zeros(0, dtype=np.uint8)
 
-    def __enter__(self) -> "SymbolStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- sizes -------------------------------------------------------------------
 
     @property
     def n_meters(self) -> int:
         """Number of stored columns (meters, or day-vector rows)."""
         return len(self.ids)
-
-    @property
-    def n_symbols(self) -> int:
-        """Total symbol count across all columns."""
-        return int(self.counts.sum())
 
     @property
     def payload_nbytes(self) -> int:
@@ -675,16 +686,10 @@ class SymbolStore:
 
     @property
     def shared_table(self) -> Optional[LookupTable]:
-        """The single global table, if this store has one."""
+        """The single global table, if this segment has one."""
         return self._tables if isinstance(self._tables, LookupTable) else None
 
     # -- reading -----------------------------------------------------------------
-
-    def _column(self, meter) -> int:
-        try:
-            return self._id_index[meter]
-        except KeyError:
-            raise StoreError(f"no column {meter!r} in {self.path.name}") from None
 
     def _column_bytes(self, index: int) -> np.ndarray:
         if self._verify_mode != "off" and not self._verified[index]:
@@ -825,12 +830,8 @@ class SymbolStore:
             raise errors[0]
         return report
 
-    def indices(self, meter, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    def indices(self, column: int, start: int, stop: int) -> np.ndarray:
         """Symbol indices ``[start, stop)`` of one column (lazy for dense)."""
-        column = self._column(meter)
-        count = int(self.counts[column])
-        stop = count if stop is None else min(int(stop), count)
-        start = max(0, int(start))
         if self.layout == DENSE:
             return unpack_slice(
                 self._column_bytes(column), self.bits_per_symbol, start, stop
@@ -838,17 +839,10 @@ class SymbolStore:
         return self._expand_rle(column)[start:stop]
 
     def _expand_rle(self, column: int) -> np.ndarray:
-        if self._verify_mode != "off":
-            self._verify_lengths()
-        values = unpack_indices(
-            np.ascontiguousarray(self._column_bytes(column)),
-            self.bits_per_symbol,
-            int(self.run_counts[column]),
-        )
-        lo, hi = int(self._run_offsets[column]), int(self._run_offsets[column + 1])
-        return np.repeat(values, self._lengths[lo:hi].astype(np.int64))
+        values, lengths = self.runs(column)
+        return np.repeat(values, lengths)
 
-    def runs(self, meter) -> tuple:
+    def runs(self, column: int) -> tuple:
         """``(run_values, run_lengths)`` of one column, without expansion.
 
         RLE columns return their stored runs directly — the pattern-matching
@@ -856,7 +850,6 @@ class SymbolStore:
         expanded windows.  Dense columns are unpacked and run-length encoded
         on the fly, so both layouts serve the same run-level interface.
         """
-        column = self._column(meter)
         if self.layout == RLE:
             if self._verify_mode != "off":
                 self._verify_lengths()
@@ -874,19 +867,17 @@ class SymbolStore:
         encoded = RLERuns.from_matrix(indices.reshape(1, indices.size))
         return encoded.values, encoded.run_lengths
 
-    #: Columns per block when a dense store computes run counts — bounds the
-    #: decoded matrix to one block, keeping the read path out-of-core.
+    #: Columns per block when a dense segment computes run counts — bounds
+    #: the decoded matrix to one block, keeping the read path out-of-core.
     _RUN_SCAN_BLOCK = 4096
 
     def run_count_per_column(self) -> np.ndarray:
-        """Number of RLE runs in every column (computed for dense stores).
+        """Number of RLE runs in every column (computed for dense segments).
 
-        RLE stores read this off the header; dense stores pay one vectorized
-        pass over the unpacked symbols, decoded in bounded column blocks so
-        memory never holds more than one block regardless of fleet size.
-        ``n_symbols / run_count.sum()`` is the mean run length — the factor
-        by which run-level pattern matching scans fewer elements than the
-        expanded windows.
+        RLE segments read this off the header; dense segments pay one
+        vectorized pass over the unpacked symbols, decoded in bounded column
+        blocks so memory never holds more than one block regardless of
+        fleet size.
         """
         if self.layout == RLE:
             return self.run_counts.copy()
@@ -896,46 +887,42 @@ class SymbolStore:
             blocks = []
             for start in range(0, self.n_meters, self._RUN_SCAN_BLOCK):
                 stop = min(start + self._RUN_SCAN_BLOCK, self.n_meters)
-                block = self.matrix(meters=[self.ids[c] for c in range(start, stop)])
+                block = self.matrix(columns=np.arange(start, stop))
                 blocks.append(RLERuns.from_matrix(block).run_counts())
             return np.concatenate(blocks)
         return np.asarray(
-            [self.runs(meter)[0].size for meter in self.ids], dtype=np.int64
+            [self.runs(c)[0].size for c in range(self.n_meters)], dtype=np.int64
         )
-
-    def _resolve_meters(self, meters) -> List[int]:
-        if meters is None:
-            return list(range(self.n_meters))
-        return [self._column(meter) for meter in meters]
 
     def matrix(
         self,
-        meters: Optional[Sequence] = None,
+        columns: Optional[Sequence[int]] = None,
         window_range: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Index matrix ``(len(meters), windows)`` for equal-length columns."""
-        columns = self._resolve_meters(meters)
-        if not columns:
+        """Index matrix ``(len(columns), windows)`` for equal-length columns."""
+        cols = (
+            np.arange(self.n_meters, dtype=np.int64) if columns is None
+            else np.asarray(columns, dtype=np.int64)
+        )
+        if not cols.size:
             return np.empty((0, 0), dtype=np.int64)
         if self._verify_mode != "off":
             # One batched CRC pass up front; the per-column check in
             # _column_bytes then hits the verified cache.  Required here
             # because the two fast paths below read the mmap directly.
-            self._verify_columns(columns)
-        counts = self.counts[columns]
+            self._verify_columns(cols)
+        counts = self.counts[cols]
         if np.any(counts != counts[0]):
             raise StoreError(
                 "columns have different symbol counts; read them one by one "
                 "with indices()"
             )
         width = int(counts[0])
-        start, stop = (0, width) if window_range is None else window_range
-        start = max(0, int(start))
-        stop = width if stop is None else min(int(stop), width)
-        if self.layout == DENSE and len(columns) == self.n_meters and meters is None:
+        start, stop = _window_bounds(width, window_range)
+        if self.layout == DENSE and columns is None:
             bytes_per_row = packed_nbytes(width, self.bits_per_symbol)
             if bytes_per_row * self.n_meters == int(self._payload.size):
-                # Contiguous dense store: one reshape + one vectorized unpack.
+                # Contiguous dense segment: one reshape + one vectorized unpack.
                 packed = np.ascontiguousarray(self._payload).reshape(
                     self.n_meters, bytes_per_row
                 )
@@ -950,7 +937,7 @@ class SymbolStore:
             first_byte, last_byte, lead = slice_byte_window(
                 self.bits_per_symbol, start, stop
             )
-            base = self.offsets[np.asarray(columns, dtype=np.int64)] + first_byte
+            base = self.offsets[cols] + first_byte
             window = self._payload[
                 base[:, None]
                 + np.arange(last_byte - first_byte, dtype=np.int64)[None, :]
@@ -958,82 +945,30 @@ class SymbolStore:
             return unpack_slice(
                 window, self.bits_per_symbol, lead, lead + stop - start
             )
-        rows = [
-            unpack_slice(
-                self._column_bytes(column), self.bits_per_symbol, start, stop
-            )
-            if self.layout == DENSE else self._expand_rle(column)[start:stop]
-            for column in columns
-        ]
-        return np.vstack(rows) if rows else np.empty((0, 0), dtype=np.int64)
-
-    def matrix_block(
-        self,
-        start: int,
-        stop: int,
-        window_range: Optional[tuple] = None,
-    ) -> np.ndarray:
-        """Index matrix of the contiguous column block ``[start, stop)``.
-
-        The block-granular read unit of the query layer's
-        :class:`~repro.query.ops.ColumnSource`: dense blocks decode with one
-        gather (the whole-store reshape fast path when the block covers
-        every column), RLE blocks expand run by run.  Segmented stores
-        implement the same method, so operators read either store kind
-        through one call.
-        """
-        start = max(0, int(start))
-        stop = min(int(stop), self.n_meters)
-        if stop <= start:
-            return np.empty((0, 0), dtype=np.int64)
-        if start == 0 and stop == self.n_meters:
-            return self.matrix(window_range=window_range)
-        return self.matrix(
-            meters=[self.ids[c] for c in range(start, stop)],
-            window_range=window_range,
-        )
+        return np.vstack([self.indices(int(c), start, stop) for c in cols])
 
     def decode(
         self,
-        meters: Optional[Sequence] = None,
-        day_range: Optional[tuple] = None,
+        columns: Optional[Sequence[int]] = None,
         window_range: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Reconstruction values for a meter/day slice, straight off the file.
-
-        ``day_range=(d0, d1)`` selects whole days via the store's
-        ``windows_per_day`` metadata; ``window_range`` selects raw window
-        columns.  Bit-identical to ``FleetEncoder.decode`` on the same
-        indices (pinned by the parity tests).
-        """
-        if day_range is not None:
-            if window_range is not None:
-                raise StoreError("pass day_range or window_range, not both")
-            per_day = self.metadata.get("windows_per_day")
-            if not per_day:
-                raise StoreError(
-                    "store has no windows_per_day metadata; use window_range"
-                )
-            day_start, day_stop = day_range
-            window_range = (int(day_start) * int(per_day), int(day_stop) * int(per_day))
-        columns = self._resolve_meters(meters)
-        matrix = self.matrix(
-            meters=[self.ids[c] for c in columns] if meters is not None else None,
-            window_range=window_range,
-        )
+        """Reconstruction values of a column/window slice, under this
+        segment's own tables (bit-identical to ``FleetEncoder.decode``)."""
+        matrix = self.matrix(columns, window_range)
         tables = self._tables
         if tables is None:
             raise StoreError(f"{self.path.name} carries no lookup tables")
         if isinstance(tables, LookupTable):
             return tables.values_for_indices(matrix)
+        cols = range(self.n_meters) if columns is None else columns
         if isinstance(tables, dict):
             if self.labels is None:
                 raise StoreError("by-label tables require stored labels")
             recon = np.stack(
-                [tables[self.labels[c]].reconstruction_array for c in columns]
+                [tables[self.labels[c]].reconstruction_array for c in cols]
             )
         else:
-            recon = np.stack([tables[c].reconstruction_array for c in columns])
+            recon = np.stack([tables[c].reconstruction_array for c in cols])
         if matrix.size and (
             matrix.min() < 0 or matrix.max() >= self.alphabet_size
         ):
@@ -1042,37 +977,3 @@ class SymbolStore:
                 f"{self.alphabet_size}"
             )
         return np.take_along_axis(recon, matrix, axis=1)
-
-    def day_vectors(self):
-        """Rebuild the classification :class:`~repro.ml.dataset.MLDataset`.
-
-        Only valid for stores written from day vectors (``metadata["kind"]
-        == "day_vectors"``); the result is bit-identical to the
-        ``build_day_vectors`` output the store was written from.
-        """
-        from ..ml.dataset import Attribute, MLDataset
-
-        if self.metadata.get("kind") != "day_vectors":
-            raise StoreError(
-                f"{self.path.name} is not a day-vector store "
-                f"(kind={self.metadata.get('kind')!r})"
-            )
-        if self.labels is None:
-            raise StoreError("day-vector store has no labels")
-        words = tuple(self.metadata["categories"])
-        attributes = [
-            Attribute.nominal(name, words)
-            for name in self.metadata["attribute_names"]
-        ]
-        matrix = self.matrix().astype(np.float64)
-        return MLDataset(
-            attributes, matrix, list(self.labels),
-            class_names=self.metadata.get("class_names"),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SymbolStore({self.path.name!r}, layout={self.layout}, "
-            f"k={self.alphabet_size}, meters={self.n_meters}, "
-            f"symbols={self.n_symbols}, bytes={self.payload_nbytes})"
-        )

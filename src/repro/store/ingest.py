@@ -35,7 +35,7 @@ from ..core.streaming import OnlineEncoder
 from ..core.timeseries import SECONDS_PER_DAY
 from ..errors import StoreError
 from .format import DENSE
-from .segments import SegmentedStore, append_segment, create_segmented_store
+from .segments import SymbolStore, append_segment, create_segmented_store
 
 __all__ = ["FleetIngestor"]
 
@@ -259,12 +259,12 @@ class FleetIngestor:
         for meter, encoder in enumerate(self._encoders):
             self._absorb(meter, encoder.flush())
 
-    def finalize(self, reason: str = "final") -> SegmentedStore:
+    def finalize(self, reason: str = "final") -> SymbolStore:
         """Flush open windows, commit the remainder, return the open store."""
         self.flush()
         while self.committable() > 0:
             self.commit(reason=reason)
-        return SegmentedStore.open(self.directory)
+        return SymbolStore.open(self.directory)
 
     @property
     def encoders(self) -> List[OnlineEncoder]:

@@ -1,6 +1,7 @@
-"""Crash-safe segmented stores: append-only directories of ``.rsym`` segments.
+"""The store: one reader over ``.rsym`` segments, and crash-safe appends.
 
-The write-once ``.rsym`` file serves a frozen fleet; production ingest needs
+A symbol store is a snapshot of immutable ``.rsym`` segments.  The
+write-once ``.rsym`` file serves a frozen fleet; production ingest needs
 *appends* — a new day of windows, a drift-triggered table epoch — without
 rewriting history and without a crash ever corrupting what was already
 committed.  A segmented store is a directory::
@@ -35,10 +36,13 @@ Durability contract (driven fault by fault in ``tests/store/test_faults.py``):
 * **Damaged manifest** — the newest *valid* generation wins; each skipped
   generation is warned about (rollback), and scrub can prune the wreckage.
 
-:class:`SegmentedStore` duck-types :class:`~repro.store.format.SymbolStore`
-(ids, counts, ``matrix``/``indices``/``runs``/``decode``, tables, metadata),
-so :class:`~repro.query.QueryEngine`, the query index and the CLI operate on
-either transparently via :func:`open_store`.  Segments written through
+:class:`SymbolStore` (also bound as ``SegmentedStore``) is the only store
+type.  A directory opens from its manifest; a bare ``.rsym`` file opens as a
+manifest-less, one-segment view of the same class — no generation, nothing
+quarantined (no manifest vouches for it, so its integrity failures raise),
+and its header supplies ids, labels, metadata and tables.  Callers therefore
+never ask which kind they hold: :func:`open_store`, the query engine, the
+server and the CLI read both through one API.  Segments written through
 :func:`append_segment` are byte-identical for every worker count — packing
 is pure per-row work merged in task order, the same invariant
 :func:`~repro.store.fleet.write_fleet_store` pins.
@@ -60,17 +64,20 @@ from ..errors import CorruptStoreError, StoreError, StoreIntegrityWarning
 from ..obs import registry as _obs_registry
 from . import faults
 from .checksum import crc32c, crc32c_hex
-from .format import DENSE, RLE, SymbolStore, SymbolStoreWriter
+from .format import DENSE, RLE, _Segment, _window_bounds
 from .packing import bits_for_alphabet
 
 __all__ = [
+    "SymbolStore",
     "SegmentedStore",
     "SegmentRecord",
     "ScrubReport",
     "append_segment",
     "create_segmented_store",
+    "find_segment",
     "open_store",
     "scrub_store",
+    "snapshot_stamp",
     "write_segmented_fleet",
 ]
 
@@ -268,44 +275,57 @@ def _select_manifest(
 # -- the reader ------------------------------------------------------------------
 
 
-class SegmentedStore:
-    """Read-side of a segmented store: a consistent snapshot of segments.
+class SymbolStore:
+    """Read-side of a symbol store: a consistent snapshot of ``.rsym`` segments.
 
-    Duck-types the :class:`~repro.store.format.SymbolStore` read interface;
-    columns are the manifest's meter ids and each meter's windows are the
-    concatenation of its per-segment spans, in commit order.  Segments that
-    fail integrity checks are quarantined at open (skipped with a
-    :class:`StoreIntegrityWarning`) unless ``strict=True``.
+    A ``.rsyms`` directory opens from its newest valid manifest; a bare
+    ``.rsym`` file opens as a manifest-less view of one segment
+    (``generation`` is ``None``, ``n_segments`` 1, nothing quarantined, and
+    its header supplies ids, labels, metadata and tables).  Columns are the
+    meter ids and each column's windows are the concatenation of its
+    per-segment spans, in commit order.  Directory segments that fail
+    integrity checks are quarantined at open (skipped with a
+    :class:`StoreIntegrityWarning`) unless ``strict=True``; no manifest
+    vouches for a bare file, so its failures always raise.
     """
 
     def __init__(
         self,
-        directory: Path,
-        manifest: Dict,
-        segments: List[SymbolStore],
-        records: List[SegmentRecord],
-        quarantined: List[Tuple[str, str]],
+        path: Path,
+        segments: List[_Segment],
+        manifest: Optional[Dict] = None,
+        records: Sequence[SegmentRecord] = (),
+        quarantined: Sequence[Tuple[str, str]] = (),
     ) -> None:
-        self.path = directory
+        self.path = Path(path)
         self.manifest = manifest
-        self.generation: int = int(manifest["generation"])
-        self._segments = segments
-        self.records = records
-        self.quarantined = quarantined
-        self.layout: str = manifest["layout"]
-        self.alphabet_size: int = int(manifest["alphabet_size"])
+        self._segments = list(segments)
+        self.records = list(records)
+        self.quarantined = list(quarantined)
+        if manifest is None:
+            (only,) = self._segments
+            self.generation: Optional[int] = None
+            self.layout: str = only.layout
+            self.alphabet_size: int = only.alphabet_size
+            self.ids: List = list(only.ids)
+            self.metadata: Dict = only.metadata
+        else:
+            self.generation = int(manifest["generation"])
+            self.layout = manifest["layout"]
+            self.alphabet_size = int(manifest["alphabet_size"])
+            self.ids = list(manifest.get("ids") or [])
+            self.metadata = manifest.get("metadata") or {}
         self.bits_per_symbol: int = bits_for_alphabet(self.alphabet_size)
-        self.ids: List = list(manifest.get("ids") or [])
-        self.labels: Optional[List[str]] = None
-        self.metadata: Dict = manifest.get("metadata") or {}
+        self.labels: Optional[List[str]] = (
+            self._segments[0].labels if self._segments else None
+        )
         self._id_index = {column_id: i for i, column_id in enumerate(self.ids)}
-        n = len(self.ids)
-        if segments:
+        if self._segments:
             self.counts = np.sum(
-                np.vstack([seg.counts for seg in segments]), axis=0
+                np.vstack([seg.counts for seg in self._segments]), axis=0
             ).astype(np.int64)
         else:
-            self.counts = np.zeros(n, dtype=np.int64)
+            self.counts = np.zeros(len(self.ids), dtype=np.int64)
         self._run_counts: Optional[np.ndarray] = None
 
     # -- construction ------------------------------------------------------------
@@ -313,24 +333,30 @@ class SegmentedStore:
     @classmethod
     def open(
         cls,
-        directory: Union[str, Path],
+        path: Union[str, Path],
         mmap: bool = True,
         prefetch: bool = True,
         verify: str = "lazy",
         strict: bool = False,
-    ) -> "SegmentedStore":
-        """Open the newest valid snapshot, quarantining damaged segments.
+    ) -> "SymbolStore":
+        """Open a bare ``.rsym`` file, or a directory's newest valid snapshot.
 
-        ``verify`` is forwarded to every segment (``"eager"`` checks all
-        payload checksums before returning, so bit-rot quarantines *now*
-        instead of at first read).  ``strict=True`` turns every quarantine
-        or rollback into a raised :class:`CorruptStoreError`.
+        ``mmap`` (default) maps payloads instead of reading them; both decode
+        to bit-identical arrays.  ``prefetch`` issues
+        ``madvise(MADV_WILLNEED)`` so a cold store's pages stream in ahead of
+        the first decode.  ``verify`` is ``"lazy"`` (each column's CRC32C on
+        first access), ``"eager"`` (every checksum before returning, so
+        bit-rot quarantines *now* instead of at first read) or ``"off"``.
+        ``strict=True`` turns every directory quarantine or manifest rollback
+        into a raised :class:`CorruptStoreError`.
         """
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise StoreError(f"no such segmented store: {directory}")
-        manifest, _, _ = _select_manifest(directory, strict=strict)
-        segments: List[SymbolStore] = []
+        path = Path(path)
+        if not path.is_dir():
+            return cls(path, [_Segment.open(
+                path, mmap=mmap, prefetch=prefetch, verify=verify
+            )])
+        manifest, _, _ = _select_manifest(path, strict=strict)
+        segments: List[_Segment] = []
         records: List[SegmentRecord] = []
         quarantined: List[Tuple[str, str]] = []
 
@@ -347,13 +373,13 @@ class SegmentedStore:
                     f"quarantining segment {record.name}: {exc} — its "
                     f"{record.windows} windows are skipped; remaining "
                     f"segments are served intact",
-                    path=directory / record.name, kind="segment", reason=reason,
+                    path=path / record.name, kind="segment", reason=reason,
                 )
             )
 
         for data in manifest.get("segments", []):
             record = SegmentRecord.from_dict(data)
-            seg_path = directory / record.name
+            seg_path = path / record.name
             try:
                 actual_nbytes = seg_path.stat().st_size
                 if actual_nbytes != record.file_nbytes:
@@ -365,7 +391,7 @@ class SegmentedStore:
                         hint="truncated" if actual_nbytes < record.file_nbytes
                         else "bit-rot",
                     )
-                segment = SymbolStore.open(
+                segment = _Segment.open(
                     seg_path, mmap=mmap, prefetch=prefetch, verify=verify
                 )
             except (StoreError, OSError) as exc:
@@ -383,10 +409,10 @@ class SegmentedStore:
                 continue
             segments.append(segment)
             records.append(record)
-        return cls(directory, manifest, segments, records, quarantined)
+        return cls(path, segments, manifest, records, quarantined)
 
     @staticmethod
-    def _segment_mismatch(segment: SymbolStore, manifest: Dict) -> Optional[str]:
+    def _segment_mismatch(segment: _Segment, manifest: Dict) -> Optional[str]:
         if segment.layout != manifest["layout"]:
             return f"layout {segment.layout!r} != {manifest['layout']!r}"
         if segment.alphabet_size != int(manifest["alphabet_size"]):
@@ -402,7 +428,7 @@ class SegmentedStore:
         for segment in self._segments:
             segment.close()
 
-    def __enter__(self) -> "SegmentedStore":
+    def __enter__(self) -> "SymbolStore":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -411,7 +437,7 @@ class SegmentedStore:
     # -- sizes -------------------------------------------------------------------
 
     @property
-    def segments(self) -> List[SymbolStore]:
+    def segments(self) -> List[_Segment]:
         """The healthy segments of this snapshot, in commit order."""
         return list(self._segments)
 
@@ -421,22 +447,27 @@ class SegmentedStore:
 
     @property
     def n_meters(self) -> int:
+        """Number of stored columns (meters, or day-vector rows)."""
         return len(self.ids)
 
     @property
     def n_symbols(self) -> int:
+        """Total symbol count across all columns."""
         return int(self.counts.sum())
 
     @property
     def payload_nbytes(self) -> int:
+        """Bytes of packed symbol payload (incl. RLE run lengths)."""
         return sum(seg.payload_nbytes for seg in self._segments)
 
     @property
     def file_nbytes(self) -> int:
+        """Bytes of every segment file (payload + headers + magics)."""
         return sum(seg.file_nbytes for seg in self._segments)
 
     @property
     def checksummed(self) -> bool:
+        """Whether every segment carries payload checksums (format v2)."""
         return all(seg.checksummed for seg in self._segments)
 
     # -- tables ------------------------------------------------------------------
@@ -447,8 +478,7 @@ class SegmentedStore:
 
         A drifted store (different table epochs per segment) returns the
         pool, which :func:`~repro.query.engine.resolve_shared_table` then
-        collapses when all entries are equal and loudly refuses otherwise —
-        exactly the single-file semantics.
+        collapses when all entries are equal and loudly refuses otherwise.
         """
         pools = [seg.tables for seg in self._segments]
         if not pools:
@@ -470,6 +500,7 @@ class SegmentedStore:
 
     @property
     def shared_table(self) -> Optional[LookupTable]:
+        """The single global table, if this store has one."""
         tables = self.tables
         return tables if isinstance(tables, LookupTable) else None
 
@@ -486,26 +517,58 @@ class SegmentedStore:
             return list(range(self.n_meters))
         return [self._column(meter) for meter in meters]
 
-    def _segment_widths(self) -> List[int]:
-        return [
-            int(seg.counts[0]) if seg.n_meters else 0 for seg in self._segments
-        ]
+    def _spans(self, start: int, stop: int, column: int):
+        """``(segment, lo, hi)`` per segment holding windows ``[start, stop)``.
 
-    def indices(self, meter, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Symbol indices ``[start, stop)`` across segment boundaries."""
-        column = self._column(meter)
-        count = int(self.counts[column])
-        stop = count if stop is None else min(int(stop), count)
-        start = max(0, int(start))
-        parts = []
+        Widths come from ``column``; every column of a directory segment has
+        the same width, and a bare file is one segment.
+        """
         offset = 0
         for segment in self._segments:
             width = int(segment.counts[column])
-            lo = max(start - offset, 0)
-            hi = min(stop - offset, width)
+            lo, hi = max(start - offset, 0), min(stop - offset, width)
             if hi > lo:
-                parts.append(segment.indices(meter, lo, hi))
+                yield segment, lo, hi
             offset += width
+
+    def _read(self, columns: Optional[Sequence[int]], window_range, read, dtype):
+        """``hstack`` of ``read(segment, columns, (lo, hi))`` over the spans.
+
+        ``columns`` are positions (``None`` = all, which segments pass on as
+        such so a whole dense file keeps its contiguous reshape path).
+        """
+        if columns is not None:
+            columns = np.asarray(columns, dtype=np.int64)
+        counts = self.counts if columns is None else self.counts[columns]
+        if not counts.size:
+            return np.empty((0, 0), dtype=dtype)
+        if np.any(counts != counts[0]):
+            raise StoreError(
+                "columns have different symbol counts; read them one by one "
+                "with indices()"
+            )
+        start, stop = _window_bounds(int(counts[0]), window_range)
+        metrics = _obs_registry()
+        parts = []
+        first = 0 if columns is None else columns[0]
+        for segment, lo, hi in self._spans(start, stop, first):
+            parts.append(read(segment, columns, (lo, hi)))
+            metrics.counter(
+                "store.segment_reads_total", "Per-segment payload reads",
+                segment=segment.path.name,
+            ).inc()
+        if not parts:
+            return np.empty((counts.size, max(0, stop - start)), dtype=dtype)
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+    def indices(self, meter, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Symbol indices ``[start, stop)`` of one column, across segments."""
+        column = self._column(meter)
+        start, stop = _window_bounds(int(self.counts[column]), (start, stop))
+        parts = [
+            segment.indices(column, lo, hi)
+            for segment, lo, hi in self._spans(start, stop, column)
+        ]
         if not parts:
             return np.zeros(0, dtype=np.int64)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -515,39 +578,9 @@ class SegmentedStore:
         meters: Optional[Sequence] = None,
         window_range: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Index matrix across all segments (``hstack`` of per-segment reads)."""
-        columns = self._resolve_meters(meters)
-        if not columns:
-            return np.empty((0, 0), dtype=np.int64)
-        counts = self.counts[columns]
-        if np.any(counts != counts[0]):
-            raise StoreError(
-                "columns have different symbol counts; read them one by one "
-                "with indices()"
-            )
-        width = int(counts[0])
-        start, stop = (0, width) if window_range is None else window_range
-        start = max(0, int(start))
-        stop = width if stop is None else min(int(stop), width)
-        ids = [self.ids[c] for c in columns] if meters is not None else None
-        metrics = _obs_registry()
-        parts = []
-        offset = 0
-        for segment in self._segments:
-            seg_width = int(segment.counts[0]) if segment.n_meters else 0
-            lo = max(start - offset, 0)
-            hi = min(stop - offset, seg_width)
-            if hi > lo:
-                parts.append(segment.matrix(meters=ids, window_range=(lo, hi)))
-                metrics.counter(
-                    "store.segment_reads_total",
-                    "Per-segment payload reads",
-                    segment=segment.path.name,
-                ).inc()
-            offset += seg_width
-        if not parts:
-            return np.empty((len(columns), max(0, stop - start)), dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.hstack(parts)
+        """Index matrix ``(len(meters), windows)`` for equal-length columns."""
+        columns = None if meters is None else self._resolve_meters(meters)
+        return self._read(columns, window_range, _Segment.matrix, np.int64)
 
     def matrix_block(
         self,
@@ -557,21 +590,17 @@ class SegmentedStore:
     ) -> np.ndarray:
         """Index matrix of the contiguous column block ``[start, stop)``.
 
-        The same block-granular read unit :meth:`SymbolStore.matrix_block`
-        provides — one ``hstack`` of per-segment block reads, each segment
-        decoding under its own table epoch's packing — so the query layer's
-        ``ColumnSource`` reads files and segment directories identically.
+        The block-granular read unit of the query layer's
+        :class:`~repro.query.ops.ColumnSource`: dense blocks decode with one
+        gather per segment (the contiguous reshape fast path when the block
+        covers every column), RLE blocks expand run by run.
         """
         start = max(0, int(start))
         stop = min(int(stop), self.n_meters)
         if stop <= start:
             return np.empty((0, 0), dtype=np.int64)
-        if start == 0 and stop == self.n_meters:
-            return self.matrix(window_range=window_range)
-        return self.matrix(
-            meters=[self.ids[c] for c in range(start, stop)],
-            window_range=window_range,
-        )
+        columns = None if stop - start == self.n_meters else np.arange(start, stop)
+        return self._read(columns, window_range, _Segment.matrix, np.int64)
 
     def runs(self, meter) -> tuple:
         """``(run_values, run_lengths)`` with boundary runs merged.
@@ -580,10 +609,11 @@ class SegmentedStore:
         one logical run; merging here keeps run-level pattern matching
         oblivious to where appends happened.
         """
+        column = self._column(meter)
         value_parts: List[np.ndarray] = []
         length_parts: List[np.ndarray] = []
         for segment in self._segments:
-            values, lengths = segment.runs(meter)
+            values, lengths = segment.runs(column)
             if values.size == 0:
                 continue
             if value_parts and value_parts[-1].size and int(
@@ -601,29 +631,29 @@ class SegmentedStore:
 
     @property
     def run_counts(self) -> np.ndarray:
-        """Logical run count per column (boundary-merged), computed once."""
+        """Logical run count per column (boundary-merged), computed once.
+
+        RLE segments read their counts off the header; dense segments pay
+        one block-decoded scan.  A run continuing across a boundary counts
+        once.
+        """
         if self._run_counts is None:
             totals = np.zeros(self.n_meters, dtype=np.int64)
-            previous_last: Optional[np.ndarray] = None
-            for segment in self._segments:
-                seg_width = int(segment.counts[0]) if segment.n_meters else 0
-                if seg_width == 0:
-                    continue
-                if segment.layout == RLE:
-                    totals += segment.run_counts
-                else:
-                    totals += segment.run_count_per_column()
-                first = segment.matrix(window_range=(0, 1)).ravel()
-                last = segment.matrix(
-                    window_range=(seg_width - 1, seg_width)
-                ).ravel()
-                if previous_last is not None:
-                    totals -= (previous_last == first).astype(np.int64)
-                previous_last = last
+            live = [seg for seg in self._segments if int(seg.counts.sum())]
+            for segment in live:
+                totals += segment.run_count_per_column()
+            for left, right in zip(live, live[1:]):
+                width = int(left.counts[0])
+                last = left.matrix(window_range=(width - 1, width)).ravel()
+                first = right.matrix(window_range=(0, 1)).ravel()
+                totals -= (last == first).astype(np.int64)
             self._run_counts = totals
         return self._run_counts
 
     def run_count_per_column(self) -> np.ndarray:
+        """Number of runs in every column; ``n_symbols / sum`` is the mean
+        run length, the factor by which run-level pattern matching scans
+        fewer elements than the expanded windows."""
         return self.run_counts.copy()
 
     def decode(
@@ -632,11 +662,14 @@ class SegmentedStore:
         day_range: Optional[tuple] = None,
         window_range: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Reconstruction values across segments, each with its own tables.
+        """Reconstruction values for a meter/day slice, straight off disk.
 
-        Drift semantics live here: a segment committed after a table rebuild
-        decodes with *its* epoch's table, so the reconstruction matches what
-        the online encoder produced at ingest time.
+        ``day_range=(d0, d1)`` selects whole days via the store's
+        ``windows_per_day`` metadata; ``window_range`` selects raw window
+        columns.  Each segment decodes with *its* epoch's tables, so a
+        segment committed after a drift rebuild reconstructs what the online
+        encoder produced at ingest time — bit-identical to
+        ``FleetEncoder.decode`` on the same indices.
         """
         if day_range is not None:
             if window_range is not None:
@@ -650,36 +683,45 @@ class SegmentedStore:
             window_range = (
                 int(day_start) * int(per_day), int(day_stop) * int(per_day)
             )
-        columns = self._resolve_meters(meters)
-        if not columns:
-            return np.empty((0, 0), dtype=np.float64)
-        counts = self.counts[columns]
-        if np.any(counts != counts[0]):
-            raise StoreError("decode needs equal-length columns")
-        width = int(counts[0])
-        start, stop = (0, width) if window_range is None else window_range
-        start = max(0, int(start))
-        stop = width if stop is None else min(int(stop), width)
-        ids = [self.ids[c] for c in columns] if meters is not None else None
-        parts = []
-        offset = 0
-        for segment in self._segments:
-            seg_width = int(segment.counts[0]) if segment.n_meters else 0
-            lo = max(start - offset, 0)
-            hi = min(stop - offset, seg_width)
-            if hi > lo:
-                parts.append(segment.decode(meters=ids, window_range=(lo, hi)))
-            offset += seg_width
-        if not parts:
-            return np.empty(
-                (len(columns), max(0, stop - start)), dtype=np.float64
+        columns = None if meters is None else self._resolve_meters(meters)
+        return self._read(columns, window_range, _Segment.decode, np.float64)
+
+    def day_vectors(self):
+        """Rebuild the classification :class:`~repro.ml.dataset.MLDataset`.
+
+        Only valid for stores written from day vectors (``metadata["kind"]
+        == "day_vectors"``); the result is bit-identical to the
+        ``build_day_vectors`` output the store was written from.
+        """
+        from ..ml.dataset import Attribute, MLDataset
+
+        if self.metadata.get("kind") != "day_vectors":
+            raise StoreError(
+                f"{self.path.name} is not a day-vector store "
+                f"(kind={self.metadata.get('kind')!r})"
             )
-        return parts[0] if len(parts) == 1 else np.hstack(parts)
+        if self.labels is None:
+            raise StoreError("day-vector store has no labels")
+        words = tuple(self.metadata["categories"])
+        attributes = [
+            Attribute.nominal(name, words)
+            for name in self.metadata["attribute_names"]
+        ]
+        matrix = self.matrix().astype(np.float64)
+        return MLDataset(
+            attributes, matrix, list(self.labels),
+            class_names=self.metadata.get("class_names"),
+        )
 
     # -- verification ------------------------------------------------------------
 
     def verify(self, strict: bool = True) -> Dict:
-        """Checksum-verify every segment; aggregate the per-segment reports."""
+        """Checksum-verify every segment; aggregate the per-segment reports.
+
+        Verified columns are cached, so a clean ``verify()`` makes all
+        subsequent reads checksum-free.  With ``strict`` the first failure
+        raises instead of being listed under ``errors``.
+        """
         segment_reports = []
         errors: List[CorruptStoreError] = []
         for segment in self._segments:
@@ -701,11 +743,15 @@ class SegmentedStore:
 
     def __repr__(self) -> str:
         return (
-            f"SegmentedStore({self.path.name!r}, gen={self.generation}, "
+            f"SymbolStore({self.path.name!r}, gen={self.generation}, "
             f"segments={self.n_segments}, layout={self.layout}, "
             f"k={self.alphabet_size}, meters={self.n_meters}, "
             f"symbols={self.n_symbols}, quarantined={len(self.quarantined)})"
         )
+
+
+#: The same class under the name the segmented-store API introduced.
+SegmentedStore = SymbolStore
 
 
 # -- writers ---------------------------------------------------------------------
@@ -717,7 +763,7 @@ def create_segmented_store(
     layout: str = DENSE,
     metadata: Optional[Dict] = None,
     ids: Optional[Sequence] = None,
-) -> SegmentedStore:
+) -> SymbolStore:
     """Initialise an empty segmented store (manifest generation 1)."""
     directory = Path(directory)
     if layout not in (DENSE, RLE):
@@ -739,31 +785,7 @@ def create_segmented_store(
         "segments": [],
     }
     _write_manifest(directory, manifest)
-    return SegmentedStore.open(directory)
-
-
-def _pack_columns(
-    matrix: np.ndarray, bits: int, layout: str, workers: int
-) -> List[tuple]:
-    """``(payload, count, run_lengths_or_None)`` per row, worker-invariant."""
-    if workers <= 1 or matrix.shape[0] <= 1:
-        from ..parallel.worker import SegmentShardTask, pack_segment_shard
-
-        return pack_segment_shard(SegmentShardTask(matrix, bits, layout))
-    from ..parallel.executor import ParallelExecutor, resolve_workers
-    from ..parallel.worker import SegmentShardTask, pack_segment_shard
-
-    workers = resolve_workers(workers)
-    bounds = np.array_split(
-        np.arange(matrix.shape[0]), min(workers, matrix.shape[0])
-    )
-    tasks = [
-        SegmentShardTask(matrix[idx[0]: idx[-1] + 1], bits, layout)
-        for idx in bounds if idx.size
-    ]
-    with ParallelExecutor(workers) as executor:
-        shards = executor.map(pack_segment_shard, tasks)
-    return [column for shard in shards for column in shard]
+    return SymbolStore.open(directory)
 
 
 def append_segment(
@@ -787,6 +809,10 @@ def append_segment(
     Packed bytes are pure per-row work merged in task order —
     the file is byte-identical for every ``workers`` count.
     """
+    from ..parallel.executor import ParallelExecutor
+    from ..parallel.worker import StoreShardTask
+    from .fleet import _meter_shards, _write_shards
+
     directory = Path(directory)
     manifest, _, _ = _select_manifest(directory)
     matrix = np.asarray(indices, dtype=np.int64)
@@ -801,7 +827,6 @@ def append_segment(
         )
     layout = manifest["layout"]
     alphabet_size = int(manifest["alphabet_size"])
-    bits = bits_for_alphabet(alphabet_size)
     known = [
         int(_SEGMENT_RE.match(rec["name"]).group(1))
         for rec in manifest.get("segments", [])
@@ -810,37 +835,26 @@ def append_segment(
     sequence = max(known) + 1 if known else 0
     start_window = sum(int(rec["windows"]) for rec in manifest.get("segments", []))
     name = _segment_name(sequence)
+    if tables is not None and not isinstance(tables, LookupTable):
+        tables = list(tables)
+        if len(tables) == 1:
+            tables = tables[0]
+        elif len(tables) != len(ids):
+            raise StoreError(f"{len(tables)} tables for {len(ids)} meters")
 
-    shared: Optional[LookupTable] = None
-    per_column: Optional[List[LookupTable]] = None
-    if isinstance(tables, LookupTable):
-        shared = tables
-    elif tables is not None:
-        per_column = list(tables)
-        if len(per_column) == 1:
-            shared = per_column[0]
-            per_column = None
-        elif len(per_column) != len(ids):
-            raise StoreError(
-                f"{len(per_column)} tables for {len(ids)} meters"
-            )
-
-    columns = _pack_columns(matrix, bits, layout, workers)
     seg_meta = dict(manifest.get("metadata") or {})
     seg_meta.update({"segment": name, "start_window": int(start_window),
                      "reason": reason})
-    with SymbolStoreWriter(
-        directory / name, alphabet_size, layout=layout, tables=shared,
-        metadata=seg_meta,
-    ) as writer:
-        for row, (payload, count, run_lengths) in enumerate(columns):
-            table = per_column[row] if per_column is not None else None
-            if layout == DENSE:
-                writer.append_packed(ids[row], payload, count, table=table)
-            else:
-                writer.append_runs(
-                    ids[row], payload, run_lengths, count, table=table
-                )
+    bits = bits_for_alphabet(alphabet_size)
+    with ParallelExecutor(workers) as executor:
+        tasks = [
+            StoreShardTask(matrix[lo:hi], bits, layout)
+            for lo, hi in _meter_shards(matrix.shape[0], executor.workers)
+        ]
+        _write_shards(
+            directory / name, executor, tasks, ids, alphabet_size, layout,
+            tables, seg_meta,
+        )
     seg_path = directory / name
     record = SegmentRecord(
         name=name,
@@ -883,7 +897,7 @@ def write_segmented_fleet(
     workers: int = 1,
     sampling_interval: Optional[float] = None,
     metadata: Optional[Dict] = None,
-) -> SegmentedStore:
+) -> SymbolStore:
     """Fit, encode and persist a fleet as a segmented store.
 
     The single shared table is fitted over the *whole* array (identical
@@ -891,8 +905,8 @@ def write_segmented_fleet(
     window axis is cut into spans of ``segment_windows`` and each span is
     committed as one segment — the batch analogue of day-by-day ingestion.
     """
-    from ..core.timeseries import SECONDS_PER_DAY
     from ..pipeline.fleet import _FleetSpec
+    from .fleet import _fleet_metadata
 
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -908,22 +922,9 @@ def write_segmented_fleet(
     )
     encoder = spec.encoder(shared_table=True).fit(values)
     indices = encoder.encode(values)
-    meta = {
-        "kind": "fleet",
-        "window": int(window),
-        "method": method if isinstance(method, str) else type(method).__name__,
-        "aggregator": aggregator if isinstance(aggregator, str) else "custom",
-        "shared_table": True,
-        "n_samples": int(values.shape[1]),
-    }
-    if sampling_interval is not None:
-        aggregation_seconds = float(sampling_interval) * int(window)
-        meta["sampling_interval"] = float(sampling_interval)
-        meta["aggregation_seconds"] = aggregation_seconds
-        per_day = SECONDS_PER_DAY / aggregation_seconds
-        if abs(per_day - round(per_day)) < 1e-9:
-            meta["windows_per_day"] = int(round(per_day))
-    meta.update(metadata or {})
+    meta = _fleet_metadata(
+        spec, True, values.shape[1], sampling_interval, metadata
+    )
     create_segmented_store(
         directory, alphabet_size=int(alphabet_size), layout=layout,
         metadata=meta, ids=ids,
@@ -938,10 +939,10 @@ def write_segmented_fleet(
         )
     if width == 0:
         append_segment(directory, indices, tables=encoder.shared, workers=workers)
-    return SegmentedStore.open(directory)
+    return SymbolStore.open(directory)
 
 
-# -- the dispatcher --------------------------------------------------------------
+# -- opening ---------------------------------------------------------------------
 
 
 def open_store(
@@ -949,12 +950,36 @@ def open_store(
     mmap: bool = True,
     prefetch: bool = True,
     verify: str = "lazy",
-) -> Union[SymbolStore, SegmentedStore]:
-    """Open either store kind by path: directory → segmented, file → single."""
+) -> SymbolStore:
+    """Open a store by path: a ``.rsyms`` directory or a bare ``.rsym`` file."""
+    return SymbolStore.open(path, mmap=mmap, prefetch=prefetch, verify=verify)
+
+
+def snapshot_stamp(path: Union[str, Path]):
+    """What is committed at ``path`` now, read without opening the store.
+
+    A directory's newest manifest generation (``-1`` when it has none), or a
+    bare file's ``(mtime_ns, size)``: a reader holding an older stamp knows
+    its snapshot is stale.
+    """
     path = Path(path)
     if path.is_dir():
-        return SegmentedStore.open(path, mmap=mmap, prefetch=prefetch, verify=verify)
-    return SymbolStore.open(path, mmap=mmap, prefetch=prefetch, verify=verify)
+        manifests = _manifest_paths(path)
+        return manifests[0][0] if manifests else -1
+    stat = path.stat()
+    return (stat.st_mtime_ns, stat.st_size)
+
+
+def find_segment(
+    directory: Union[str, Path], reason: str
+) -> Optional[Tuple[int, SegmentRecord]]:
+    """``(generation, record)`` of the committed segment whose manifest
+    ``reason`` is ``reason``, or ``None`` — read off the manifest alone."""
+    manifest, _, _ = _select_manifest(Path(directory))
+    for data in manifest.get("segments", []):
+        if data.get("reason") == reason:
+            return int(manifest["generation"]), SegmentRecord.from_dict(data)
+    return None
 
 
 # -- scrub: verify + garbage-collect + repair ------------------------------------
