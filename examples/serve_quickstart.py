@@ -113,10 +113,10 @@ def main() -> None:
                   f"degraded={report['degraded']}, "
                   f"quarantined={client.store_info('fleet')['quarantined']}")
 
-            metrics = client.metrics()["metrics"]
-            print(f"metrics: {metrics['requests_total']} requests, "
-                  f"{metrics['degraded_responses_total']} degraded, "
-                  f"{metrics['shed_total']} shed")
+            counters = client.metrics()["registry"]["counters"]
+            print(f"metrics: {counters['serve.requests_total']} requests, "
+                  f"{counters['serve.degraded_responses_total']} degraded, "
+                  f"{counters['serve.shed_total']} shed")
 
 
 if __name__ == "__main__":

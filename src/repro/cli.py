@@ -27,7 +27,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .analytics import DayVectorConfig, build_day_vectors, classify_households, forecast_dataset
 from .core import CompressionModel, SymbolicEncoder
@@ -55,23 +55,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1,
         help="worker processes (1 = serial, 0 = one per CPU); outputs are "
              "bit-identical for every worker count",
-    )
-
-
-def _add_remote_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--remote", type=str, default="", metavar="URL",
-        help="query a running 'repro serve' instance instead of a local "
-             "file; PATH is then the server-side store name",
-    )
-
-
-def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="print the structured trace (span tree + work accounting) for "
-             "this query on stderr; with --remote the trace is fetched from "
-             "the server's /traces/recent by the propagated trace id",
     )
 
 
@@ -409,12 +392,6 @@ def _cmd_query_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _remote_client(args: argparse.Namespace):
-    from .serve import ServeClient
-
-    return ServeClient(args.remote, trace_id=getattr(args, "_trace_id", None))
-
-
 def _span_accounting(root: dict) -> dict:
     """Sum the numeric work-accounting attributes across a span tree.
 
@@ -501,272 +478,287 @@ def _trace_session(args: argparse.Namespace):
                 print(f"  {key} = {counters[key]}", file=sys.stderr)
 
 
-def _traced(handler):
-    """Wrap a query handler so ``--trace`` surrounds the whole command."""
-    def run(args: argparse.Namespace) -> int:
-        with _trace_session(args):
-            return handler(args)
-    return run
+def _cmd_query(args: argparse.Namespace) -> int:
+    """Every ``repro query`` verb: flags → params → wire body → renderer.
+
+    The one backend per run is a local engine, or with ``--remote`` the
+    server; both yield the verb's wire body, so remote output equals local.
+    """
+    from .query import QueryEngine
+    from .query.verbs import VERBS
+
+    with _trace_session(args):
+        if args.remote:
+            from .serve import ServeClient
+
+            client = ServeClient(
+                args.remote, trace_id=getattr(args, "_trace_id", None)
+            )
+            verb, params = _query_params(args, None)
+            body = client.query(args.path, verb, params)
+        else:
+            with QueryEngine.open(args.path) as engine:
+                verb, params = _query_params(args, engine)
+                body = VERBS[verb].answer(
+                    engine, params, getattr(args, "workers", 1)
+                )
+        if body.get("degraded"):
+            print("note: served DEGRADED (damaged segments quarantined; "
+                  "results cover the healthy subset)", file=sys.stderr)
+        _RENDERERS[verb](args, params, body)
+    return 0
 
 
-def _print_degraded(response) -> None:
-    if response.get("degraded"):
-        print("note: served DEGRADED (damaged segments quarantined; "
-              "results cover the healthy subset)", file=sys.stderr)
+def _query_params(args: argparse.Namespace, engine):
+    """The verb and its params: each field the command's route does not
+    give is read from the flag named after it, or keeps its default."""
+    from dataclasses import fields
+
+    from .query.verbs import VERBS
+
+    route = _QUERY_COMMANDS[args.query_command].route
+    verb, given = route(args, engine) if route else (args.query_command, {})
+    params = VERBS[verb].params
+    for f in fields(params):
+        if f.name not in given and getattr(args, f.name, None) is not None:
+            given[f.name] = getattr(args, f.name)
+    return verb, params(**given)
 
 
-def _cmd_query_knn(args: argparse.Namespace) -> int:
+def _print_top(ids, values, n: int, column: str) -> None:
+    """The ``n`` largest values, ties in column order (``Report.top``)."""
     import numpy as np
 
-    from .query import QueryConfig, QueryEngine
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(-values, kind="stable")[:n]
+    rows = [{"meter": ids[i], column: float(values[i])} for i in order]
+    print(render_table(rows, float_digits=4))
+
+
+def _knn_flags(parser: argparse.ArgumentParser) -> None:
+    from .query.verbs import KNNParams
+
+    parser.add_argument("--query-id", type=str, default=None,
+                        help="use this stored column's decoded values as the "
+                             "query (local stores only)")
+    parser.add_argument("--query-csv", type=str, default="",
+                        help="comma-separated query values (one per window)")
+    parser.add_argument("--k", type=int, default=KNNParams.k)
+    parser.add_argument("--no-index", dest="use_index", action="store_false",
+                        help="skip histogram pruning (decode every candidate)")
+    parser.add_argument("--refine-chunk", type=int,
+                        default=KNNParams.refine_chunk,
+                        help="candidates unpacked per refine round")
+    parser.add_argument("--include-self", action="store_true",
+                        help="with --query-id: keep the query column itself "
+                             "in the candidate set")
+    parser.add_argument("--stats", action="store_true",
+                        help="print the QueryStats work accounting "
+                             "(candidates, refined/query, decoded fraction)")
+
+
+def _knn_query(args: argparse.Namespace, engine):
+    """``--query-id`` decodes a stored column, so it needs a local store."""
+    import numpy as np
 
     from .errors import QueryError
 
     if args.query_id is None and not args.query_csv:
         raise QueryError("pass --query-id or --query-csv to choose the query")
-    if getattr(args, "remote", ""):
-        if not args.query_csv:
-            raise QueryError(
-                "--remote needs --query-csv (the store lives on the server, "
-                "so --query-id cannot be decoded locally)"
-            )
+    if engine is None and not args.query_csv:
+        raise QueryError(
+            "--remote needs --query-csv (the store lives on the server, "
+            "so --query-id cannot be decoded locally)"
+        )
+    if engine is None or args.query_id is None:
         query = np.loadtxt(args.query_csv, delimiter=",", dtype=np.float64)
-        if query.ndim == 1:
-            query = query[None, :]
-        response = _remote_client(args).knn(
-            args.path, query, k=args.k, use_index=not args.no_index,
-            refine_chunk=args.refine_chunk,
+        return "knn", {"queries": query}
+    query_id = _store_column_id(engine.store, args.query_id)
+    return "knn", {
+        "queries": engine.store.decode(meters=[query_id])[0],
+        "exclude_ids": None if args.include_self else [query_id],
+    }
+
+
+def _render_knn(args: argparse.Namespace, params, body) -> None:
+    from .query import KNNStats, QueryConfig
+
+    many = len(body["ids"]) > 1  # multi-row --query-csv: label each query
+    rows = [
+        {**({"query": row} if many else {}), "rank": rank, "meter": meter,
+         "distance": distance}
+        for row, (meters, distances) in enumerate(
+            zip(body["ids"], body["distances"]))
+        for rank, (meter, distance) in enumerate(zip(meters, distances), 1)
+    ]
+    print(render_table(rows, float_digits=3))
+    stats = KNNStats(**body["stats"])
+    config = QueryConfig(k=params.k, use_index=params.use_index,
+                         refine_chunk=params.refine_chunk, workers=args.workers)
+    mode = "index-pruned" if stats.index_used else "full scan"
+    print(f"{config.label()}: refined {stats.refined_per_query:.1f} of "
+          f"{stats.n_candidates} candidates/query "
+          f"({100.0 * stats.decoded_fraction:.1f}% decoded, {mode})")
+    if args.stats:
+        print("query stats:")
+        print(f"  queries:            {stats.n_queries}")
+        print(f"  candidates:         {stats.n_candidates}")
+        print(f"  refined (total):    {stats.refined}")
+        print(f"  refined/query:      {stats.refined_per_query:.2f}")
+        print(f"  decoded fraction:   {stats.decoded_fraction:.3f}")
+        print(f"  pruned fraction:    {stats.pruned_fraction:.3f}")
+        print(f"  index used:         {stats.index_used}")
+
+
+def _match_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pattern", type=str, required=True,
+                        help="pattern tokens: letter/index with optional "
+                             "{min}/{min,}/{min,max} run bounds, '*' for gaps")
+
+
+def _render_match(args: argparse.Namespace, params, body) -> None:
+    rows = []
+    for meter_id, spans in body["spans"].items():
+        first = ", ".join(f"[{a}, {b})" for a, b in spans[:3])
+        if len(spans) > 3:
+            first += ", ..."
+        rows.append({"meter": meter_id, "matches": len(spans),
+                     "windows": first})
+    if rows:
+        print(render_table(rows))
+    print(f"pattern {params.pattern!r}: {body['total_matches']} matches in "
+          f"{len(body['spans'])} of {body['columns_scanned']} scanned "
+          f"columns ({body['columns_skipped']} skipped by index)")
+    runs, windows = body["runs_scanned"], body["windows_total"]
+    print(f"pushdown: scanned {runs} runs vs {windows} windows "
+          f"({100.0 * (runs / windows if windows else 0.0):.1f}% of "
+          f"expanded size)")
+
+
+def _agg_flags(parser: argparse.ArgumentParser) -> None:
+    from .query.verbs import PrivateAggParams
+
+    parser.add_argument("--level", type=int, default=None,
+                        help="duty-cycle threshold symbol (default: k/2)")
+    parser.add_argument("--per-day", action="store_true",
+                        help="add per-day peak levels (needs windows_per_day)")
+    parser.add_argument("--k-anon", type=int, default=None, metavar="K",
+                        help="release a pooled k-anonymous group aggregate "
+                             "instead of per-meter rows (cells under K "
+                             "windows suppressed; refuses groups under K "
+                             "meters)")
+    parser.add_argument("--noise", dest="epsilon", type=float, default=None,
+                        metavar="EPS",
+                        help="with --k-anon (or alone): add Laplace(1/EPS) "
+                             "noise to the released counts")
+    parser.add_argument("--seed", type=int, default=PrivateAggParams.seed,
+                        help="noise seed (released aggregates are "
+                             "deterministic per seed)")
+
+
+def _agg_route(args: argparse.Namespace, engine):
+    """``--k-anon`` or ``--noise`` asks for a k-anonymous release instead."""
+    private = args.k_anon is not None or args.epsilon is not None
+    return ("private_agg" if private else "agg"), {}
+
+
+def _render_agg(args: argparse.Namespace, params, body) -> None:
+    rows = []
+    for i, meter in enumerate(body["ids"]):
+        row = {
+            "meter": meter,
+            "windows": int(sum(body["symbol_counts"][i])),
+            "runs": int(body["run_count"][i]),
+            "mean_run": float(body["mean_run_length"][i]),
+            "peak_level": int(body["peak_level"][i]),
+            f"duty>={body['level']}": float(body["duty_cycle"][i]),
+        }
+        if "daily_peak" in body:
+            row["max_daily_peak"] = int(max([0, *body["daily_peak"][i]]))
+        rows.append(row)
+    print(render_table(rows, float_digits=2))
+
+
+def _render_private_agg(args: argparse.Namespace, params, body) -> None:
+    epsilon = body["epsilon"]
+    noise = f"Laplace(1/{epsilon:g})" if epsilon else "none"
+    print(f"group of {body['n_meters']} meters "
+          f"(k-anon >= {body['k_anon']}, noise: {noise})")
+    rows = [
+        {"symbol": symbol, "count": float(count), "suppressed": bool(cut)}
+        for symbol, (count, cut) in enumerate(
+            zip(body["symbol_counts"], body["suppressed"])
         )
-        _print_degraded(response)
-        many = len(response["ids"]) > 1
-        rows = []
-        for query_row, (neighbour_ids, row_distances) in enumerate(
-            zip(response["ids"], response["distances"])
-        ):
-            for rank, (neighbour_id, distance) in enumerate(
-                zip(neighbour_ids, row_distances)
-            ):
-                row = {"query": query_row} if many else {}
-                row.update({"rank": rank + 1, "meter": neighbour_id,
-                            "distance": distance})
-                rows.append(row)
-        print(render_table(rows, float_digits=3))
-        stats = response["stats"]
-        print(f"remote knn k={args.k}: refined "
-              f"{stats['refined'] / max(1, stats['n_queries']):.1f} of "
-              f"{stats['n_candidates']} candidates/query")
-        return 0
-    with QueryEngine.open(args.path) as engine:
-        store = engine.store
-        exclude = []
-        if args.query_id is not None:
-            query_id = _store_column_id(store, args.query_id)
-            query = store.decode(meters=[query_id])[0]
-            if not args.include_self:
-                exclude = [query_id]
-        else:
-            query = np.loadtxt(args.query_csv, delimiter=",", dtype=np.float64)
-        config = QueryConfig(
-            k=args.k, use_index=not args.no_index,
-            refine_chunk=args.refine_chunk, workers=args.workers,
-        )
-        result = engine.knn(query, config, exclude_ids=exclude)
-        many = len(result.ids) > 1  # multi-row --query-csv: label each query
-        rows = []
-        for query_row, (neighbour_ids, row_distances) in enumerate(
-            zip(result.ids, result.distances)
-        ):
-            for rank, (neighbour_id, distance) in enumerate(
-                zip(neighbour_ids, row_distances)
-            ):
-                row = {"query": query_row} if many else {}
-                row.update({"rank": rank + 1, "meter": neighbour_id,
-                            "distance": distance})
-                rows.append(row)
-        print(render_table(rows, float_digits=3))
-        stats = result.stats
-        mode = "index-pruned" if stats.index_used else "full scan"
-        print(f"{config.label()}: refined {stats.refined_per_query:.1f} of "
-              f"{stats.n_candidates} candidates/query "
-              f"({100.0 * stats.decoded_fraction:.1f}% decoded, {mode})")
-        if args.stats:
-            print("query stats:")
-            print(f"  queries:            {stats.n_queries}")
-            print(f"  candidates:         {stats.n_candidates}")
-            print(f"  refined (total):    {stats.refined}")
-            print(f"  refined/query:      {stats.refined_per_query:.2f}")
-            print(f"  decoded fraction:   {stats.decoded_fraction:.3f}")
-            print(f"  pruned fraction:    {stats.pruned_fraction:.3f}")
-            print(f"  index used:         {stats.index_used}")
-    return 0
+    ]
+    print(render_table(rows, float_digits=2))
+    print(f"suppressed symbols: {sum(body['suppressed'])}  "
+          f"duty>={body['level']}: {body['duty_cycle']:.2f}")
+    profile = ", ".join(f"{v:.1f}" for v in body["band_profile"])
+    print(f"band profile: [{profile}]")
 
 
-def _cmd_query_match(args: argparse.Namespace) -> int:
-    from .query import QueryEngine
-
-    if getattr(args, "remote", ""):
-        response = _remote_client(args).match(args.path, args.pattern)
-        _print_degraded(response)
-        rows = []
-        for meter_id, spans in response["spans"].items():
-            first = ", ".join(f"[{a}, {b})" for a, b in spans[:3])
-            if len(spans) > 3:
-                first += ", ..."
-            rows.append({"meter": meter_id, "matches": len(spans),
-                         "windows": first})
-        if rows:
-            print(render_table(rows))
-        print(f"pattern {args.pattern!r}: {response['total_matches']} matches "
-              f"in {len(response['spans'])} of "
-              f"{response['columns_scanned']} scanned columns "
-              f"({response['columns_skipped']} skipped by index)")
-        return 0
-    with QueryEngine.open(args.path) as engine:
-        result = engine.match(args.pattern, workers=args.workers)
-        rows = []
-        for meter_id, spans in result.spans.items():
-            first = ", ".join(f"[{a}, {b})" for a, b in spans[:3])
-            if len(spans) > 3:
-                first += ", ..."
-            rows.append({"meter": meter_id, "matches": len(spans),
-                         "windows": first})
-        if rows:
-            print(render_table(rows))
-        print(f"pattern {args.pattern!r}: {result.total_matches} matches in "
-              f"{len(result.spans)} of {result.columns_scanned} scanned "
-              f"columns ({result.columns_skipped} skipped by index)")
-        print(f"pushdown: scanned {result.runs_scanned} runs vs "
-              f"{result.windows_total} windows "
-              f"({100.0 * result.scan_fraction:.1f}% of expanded size)")
-    return 0
+def _anomaly_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--top", type=int, default=10,
+                        help="rows printed (highest scores first)")
 
 
-def _cmd_query_agg(args: argparse.Namespace) -> int:
-    from .query import QueryEngine
-
-    if getattr(args, "remote", ""):
-        client = _remote_client(args)
-        if args.k_anon is not None or args.noise is not None:
-            response = client.private_agg(
-                args.path, level=args.level,
-                k_anon=args.k_anon if args.k_anon is not None else 5,
-                epsilon=args.noise, seed=args.seed,
-            )
-            _print_degraded(response)
-            noise = (
-                f"Laplace(1/{response['epsilon']:g})"
-                if response["epsilon"] else "none"
-            )
-            print(f"group of {response['n_meters']} meters "
-                  f"(k-anon >= {response['k_anon']}, noise: {noise})")
-            print(f"released counts: {response['symbol_counts']}")
-            print(f"duty>={response['level']}: {response['duty_cycle']:.2f}")
-        else:
-            response = client.agg(
-                args.path, level=args.level, per_day=args.per_day
-            )
-            _print_degraded(response)
-            rows = [
-                {
-                    "meter": meter,
-                    "peak": response["peak_level"][i],
-                    f"duty>={response['level']}": response["duty_cycle"][i],
-                    "runs": response["run_count"][i],
-                }
-                for i, meter in enumerate(response["ids"])
-            ]
-            print(render_table(rows, float_digits=2))
-        return 0
-    with QueryEngine.open(args.path) as engine:
-        if args.k_anon is not None or args.noise is not None:
-            report = engine.private_aggregate(
-                level=args.level,
-                k_anon=args.k_anon if args.k_anon is not None else 5,
-                epsilon=args.noise,
-                seed=args.seed,
-                workers=args.workers,
-            )
-            noise = (
-                f"Laplace(1/{report.epsilon:g})" if report.epsilon else "none"
-            )
-            print(f"group of {report.n_meters} meters "
-                  f"(k-anon >= {report.k_anon}, noise: {noise})")
-            print(render_table(report.rows(), float_digits=2))
-            print(f"suppressed symbols: {int(report.suppressed.sum())}  "
-                  f"duty>={report.level}: {report.duty_cycle:.2f}")
-            profile = ", ".join(f"{v:.1f}" for v in report.band_profile)
-            print(f"band profile: [{profile}]")
-        else:
-            report = engine.aggregate(
-                level=args.level, per_day=args.per_day, workers=args.workers
-            )
-            print(render_table(report.rows(), float_digits=2))
-    return 0
+def _render_anomaly(args: argparse.Namespace, params, body) -> None:
+    _print_top(body["ids"], body["scores"], args.top, "score")
+    print(f"scored {len(body['ids'])} meters against the fleet transition "
+          f"model ({int(sum(body['transitions']))} transitions read off runs)")
 
 
-def _cmd_query_anomaly(args: argparse.Namespace) -> int:
-    from .query import QueryEngine
-
-    if getattr(args, "remote", ""):
-        response = _remote_client(args).anomaly(args.path)
-        _print_degraded(response)
-        scored = sorted(
-            zip(response["ids"], response["scores"]),
-            key=lambda pair: -pair[1],
-        )[: args.top]
-        rows = [{"meter": m, "score": s} for m, s in scored]
-        print(render_table(rows, float_digits=4))
-        print(f"scored {len(response['ids'])} meters against the fleet "
-              f"transition model (remote)")
-        return 0
-    with QueryEngine.open(args.path) as engine:
-        report = engine.anomaly(workers=args.workers)
-        rows = [
-            {"meter": meter, "score": score}
-            for meter, score in report.top(args.top)
-        ]
-        print(render_table(rows, float_digits=4))
-        print(f"scored {len(report.ids)} meters against the fleet "
-              f"transition model ({int(report.transitions.sum())} transitions "
-              f"read off runs)")
-    return 0
+def _drift_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--baseline", type=str, default=None,
+                        help="previous .rsymx snapshot (or its store path) to "
+                             "diff against; default: current fleet mean "
+                             "(local stores only)")
+    parser.add_argument("--top", type=int, default=10,
+                        help="rows printed (largest shifts first)")
+    parser.add_argument("--threshold", type=float, default=0.1,
+                        help="TV distance above which a meter counts as "
+                             "shifted")
 
 
-def _cmd_query_drift(args: argparse.Namespace) -> int:
-    from .query import QueryEngine
+def _render_drift(args: argparse.Namespace, params, body) -> None:
+    distances = body["distances"]
+    _print_top(body["ids"], distances, args.top, "tv_distance")
+    shifted = sum(distance > args.threshold for distance in distances)
+    print(f"{shifted} of {len(body['ids'])} meters shifted more than "
+          f"{args.threshold:g} TV vs {body['reference']} "
+          f"({body['columns_decoded']} columns decoded)")
 
-    if getattr(args, "remote", ""):
-        from .errors import QueryError
 
-        if args.baseline:
-            raise QueryError(
-                "--baseline is not supported with --remote (the baseline "
-                "sidecar lives on the client)"
-            )
-        response = _remote_client(args).drift(args.path)
-        _print_degraded(response)
-        scored = sorted(
-            zip(response["ids"], response["distances"]),
-            key=lambda pair: -pair[1],
-        )[: args.top]
-        rows = [{"meter": m, "tv_distance": d} for m, d in scored]
-        print(render_table(rows, float_digits=4))
-        shifted = [d for d in response["distances"] if d > args.threshold]
-        print(f"{len(shifted)} of {len(response['ids'])} meters shifted "
-              f"more than {args.threshold:g} TV vs {response['reference']}")
-        return 0
-    with QueryEngine.open(args.path) as engine:
-        report = engine.drift(baseline=args.baseline or None)
-        rows = [
-            {"meter": meter, "tv_distance": distance}
-            for meter, distance in report.top(args.top)
-        ]
-        print(render_table(rows, float_digits=4))
-        shifted = report.shifted(args.threshold)
-        print(f"{len(shifted)} of {len(report.ids)} meters shifted more than "
-              f"{args.threshold:g} TV vs {report.reference} "
-              f"({report.columns_decoded} columns decoded)")
-    return 0
+class _QueryCommand(NamedTuple):
+    """A ``repro query`` subcommand; its flags are named after the params
+    fields they set (``--no-index`` sets ``use_index``)."""
+
+    help: str
+    flags: Callable[[argparse.ArgumentParser], None]
+    #: ``(args, local engine or None) -> (verb, params no flag names)``;
+    #: without one, the subcommand is its verb.
+    route: Optional[Callable] = None
+
+
+_QUERY_COMMANDS = {
+    "knn": _QueryCommand("exact k-nearest-columns with lower-bound pruning",
+                         _knn_flags, _knn_query),
+    "match": _QueryCommand("run-level symbol pattern matching "
+                           "(e.g. \"h{4,} * a\")", _match_flags),
+    "agg": _QueryCommand("per-meter symbol statistics pushed down to the "
+                         "store", _agg_flags, _agg_route),
+    "anomaly": _QueryCommand("per-meter anomaly scores from symbol "
+                             "transitions", _anomaly_flags),
+    "drift": _QueryCommand("fleet drift report straight off .rsymx "
+                           "histograms", _drift_flags),
+}
+
+#: Verb → renderer of its wire body; ``private_agg`` is ``agg --k-anon``.
+_RENDERERS = {
+    "knn": _render_knn, "match": _render_match, "agg": _render_agg,
+    "private_agg": _render_private_agg, "anomaly": _render_anomaly,
+    "drift": _render_drift,
+}
 
 
 def _cmd_obs_tail(args: argparse.Namespace) -> int:
@@ -1021,92 +1013,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_argument(query_index)
     query_index.set_defaults(handler=_cmd_query_index)
 
-    knn = query_commands.add_parser(
-        "knn", help="exact k-nearest-columns with lower-bound pruning"
-    )
-    knn.add_argument("path", type=str, help="path to the .rsym file")
-    knn.add_argument("--query-id", type=str, default=None,
-                     help="use this stored column's decoded values as the query")
-    knn.add_argument("--query-csv", type=str, default="",
-                     help="comma-separated query values (one per window)")
-    knn.add_argument("--k", type=int, default=5)
-    knn.add_argument("--no-index", action="store_true",
-                     help="skip histogram pruning (decode every candidate)")
-    knn.add_argument("--refine-chunk", type=int, default=16,
-                     help="candidates unpacked per refine round")
-    knn.add_argument("--include-self", action="store_true",
-                     help="with --query-id: keep the query column itself "
-                          "in the candidate set")
-    knn.add_argument("--stats", action="store_true",
-                     help="print the QueryStats work accounting (candidates, "
-                          "refined/query, decoded fraction)")
-    _add_workers_argument(knn)
-    _add_remote_argument(knn)
-    _add_trace_argument(knn)
-    knn.set_defaults(handler=_traced(_cmd_query_knn))
+    from .query.verbs import VERBS
 
-    match = query_commands.add_parser(
-        "match", help="run-level symbol pattern matching (e.g. \"h{4,} * a\")"
-    )
-    match.add_argument("path", type=str, help="path to the .rsym file")
-    match.add_argument("--pattern", type=str, required=True,
-                       help="pattern tokens: letter/index with optional "
-                            "{min}/{min,}/{min,max} run bounds, '*' for gaps")
-    _add_workers_argument(match)
-    _add_remote_argument(match)
-    _add_trace_argument(match)
-    match.set_defaults(handler=_traced(_cmd_query_match))
-
-    agg = query_commands.add_parser(
-        "agg", help="per-meter symbol statistics pushed down to the store"
-    )
-    agg.add_argument("path", type=str, help="path to the .rsym file")
-    agg.add_argument("--level", type=int, default=None,
-                     help="duty-cycle threshold symbol (default: k/2)")
-    agg.add_argument("--per-day", action="store_true",
-                     help="add per-day peak levels (needs windows_per_day)")
-    agg.add_argument("--k-anon", type=int, default=None, metavar="K",
-                     help="release a pooled k-anonymous group aggregate "
-                          "instead of per-meter rows (cells under K windows "
-                          "suppressed; refuses groups under K meters)")
-    agg.add_argument("--noise", type=float, default=None, metavar="EPS",
-                     help="with --k-anon (or alone): add Laplace(1/EPS) "
-                          "noise to the released counts")
-    agg.add_argument("--seed", type=int, default=0,
-                     help="noise seed (released aggregates are deterministic "
-                          "per seed)")
-    _add_workers_argument(agg)
-    _add_remote_argument(agg)
-    _add_trace_argument(agg)
-    agg.set_defaults(handler=_traced(_cmd_query_agg))
-
-    anomaly = query_commands.add_parser(
-        "anomaly", help="per-meter anomaly scores from symbol transitions"
-    )
-    anomaly.add_argument("path", type=str,
-                         help="path to the .rsym file or segment directory")
-    anomaly.add_argument("--top", type=int, default=10,
-                         help="rows printed (highest scores first)")
-    _add_workers_argument(anomaly)
-    _add_remote_argument(anomaly)
-    _add_trace_argument(anomaly)
-    anomaly.set_defaults(handler=_traced(_cmd_query_anomaly))
-
-    drift = query_commands.add_parser(
-        "drift", help="fleet drift report straight off .rsymx histograms"
-    )
-    drift.add_argument("path", type=str,
-                       help="path to the .rsym file or segment directory")
-    drift.add_argument("--baseline", type=str, default="",
-                       help="previous .rsymx snapshot (or its store path) to "
-                            "diff against; default: current fleet mean")
-    drift.add_argument("--top", type=int, default=10,
-                       help="rows printed (largest shifts first)")
-    drift.add_argument("--threshold", type=float, default=0.1,
-                       help="TV distance above which a meter counts as shifted")
-    _add_remote_argument(drift)
-    _add_trace_argument(drift)
-    drift.set_defaults(handler=_traced(_cmd_query_drift))
+    for name, command in _QUERY_COMMANDS.items():
+        verb = query_commands.add_parser(name, help=command.help)
+        verb.add_argument("path", type=str,
+                          help="path to the .rsym file or segment directory")
+        command.flags(verb)
+        if VERBS[name].shards:
+            _add_workers_argument(verb)
+        verb.add_argument(
+            "--remote", type=str, default="", metavar="URL",
+            help="query a running 'repro serve' instance instead of a local "
+                 "file; PATH is then the server-side store name",
+        )
+        verb.add_argument(
+            "--trace", action="store_true",
+            help="print the structured trace (span tree + work accounting) "
+                 "for this query on stderr; with --remote the trace is "
+                 "fetched from the server's /traces/recent by the propagated "
+                 "trace id",
+        )
+        verb.set_defaults(handler=_cmd_query)
 
     export = subparsers.add_parser("export-arff", help="export day vectors as ARFF (Weka)")
     _add_dataset_arguments(export)

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import QueryError
 from ..store.segments import SymbolStore
 from .index import QueryIndex
+from .verbs import AggParams
 
 __all__ = ["AggregateReport", "aggregate_store"]
 
@@ -69,7 +70,7 @@ def aggregate_store(
     store: SymbolStore,
     meters: Optional[Sequence] = None,
     level: Optional[int] = None,
-    per_day: bool = False,
+    per_day: bool = AggParams.per_day,
     index: Optional[QueryIndex] = None,
     workers: int = 1,
     source=None,

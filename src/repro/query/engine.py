@@ -66,6 +66,7 @@ from .ops import (
 )
 from .patterns import PatternMatches, SymbolPattern
 from .plan import Deadline, ScanPlan
+from .verbs import AggParams, KNNParams, PrivateAggParams
 
 __all__ = [
     "QueryConfig",
@@ -96,9 +97,9 @@ class QueryConfig:
     that each round is one vectorized gather.
     """
 
-    k: int = 5
-    use_index: bool = True
-    refine_chunk: int = 16
+    k: int = KNNParams.k
+    use_index: bool = KNNParams.use_index
+    refine_chunk: int = KNNParams.refine_chunk
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -323,7 +324,7 @@ class QueryEngine:
     def brute_force_knn(
         self,
         queries: np.ndarray,
-        k: int = 5,
+        k: int = KNNParams.k,
         exclude_ids: Sequence = (),
     ) -> KNNResult:
         """Reference exact search: decode every candidate, no pruning."""
@@ -419,7 +420,7 @@ class QueryEngine:
         self,
         meters: Optional[Sequence] = None,
         level: Optional[int] = None,
-        per_day: bool = False,
+        per_day: bool = AggParams.per_day,
         workers: int = 1,
         deadline: Optional[Deadline] = None,
     ) -> AggregateReport:
@@ -485,9 +486,9 @@ class QueryEngine:
         self,
         meters: Optional[Sequence] = None,
         level: Optional[int] = None,
-        k_anon: int = 5,
+        k_anon: int = PrivateAggParams.k_anon,
         epsilon: Optional[float] = None,
-        seed: int = 0,
+        seed: int = PrivateAggParams.seed,
         workers: int = 1,
         deadline: Optional[Deadline] = None,
     ) -> PrivateAggregateReport:

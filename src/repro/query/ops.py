@@ -43,6 +43,7 @@ from ..obs import registry as _obs_registry, tracer as _obs_tracer
 from .distance import banded_min_cells, histogram_bound
 from .index import DEFAULT_BANDS, QueryIndex, _shard_stats
 from .patterns import PatternMatches, SymbolPattern, match_runs
+from .verbs import PrivateAggParams
 
 __all__ = [
     "ColumnSource",
@@ -980,7 +981,7 @@ class GroupAggregateOperator(Operator):
     level: int
     k_anon: int
     epsilon: Optional[float] = None
-    seed: int = 0
+    seed: int = PrivateAggParams.seed
     n_bands: int = DEFAULT_BANDS
     index: Optional[QueryIndex] = None
 

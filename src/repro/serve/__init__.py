@@ -29,9 +29,14 @@ segment appends — with robustness as the design center:
     budgets, ``Retry-After`` obedience, idempotency keys.
 
 :mod:`repro.serve.protocol`
-    The wire contract: result serializers (bit-identical float round-trip)
-    and the ``{"error": {"code", ...}}`` envelope over the stable
+    The wire contract: the verbs' result codecs from
+    :mod:`repro.query.verbs` (bit-identical float round-trip) and the
+    ``{"error": {"code", ...}}`` envelope over the stable
     :mod:`repro.errors` taxonomy.
+
+The query verbs themselves — params, defaults, request checks, engine
+method, codec — are defined once in :data:`repro.query.verbs.VERBS`; the
+server's dispatch and the client's query methods run from it.
 """
 
 from .admission import AdmissionGate

@@ -21,6 +21,12 @@ a retry after an ambiguous failure — the response never arrived, the server
 may or may not have committed — cannot duplicate the append: the server
 finds the key in its manifest and replays the original answer.
 
+The query methods (``knn``, ``match``, ``agg``, ``anomaly``, ``drift``,
+``private_agg``) are generated from :data:`repro.query.verbs.VERBS`: each
+takes the store, then its verb's required params by position and the
+optional ones by keyword, and builds the body with the params dataclass,
+so client and server share one set of defaults and field names.
+
 Everything is injectable (``clock``, ``sleep``, ``rng``) so the retry
 schedule is unit-testable without real time passing.
 """
@@ -34,7 +40,7 @@ import time
 import urllib.error
 import urllib.request
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import (
     BadRequest,
@@ -48,6 +54,7 @@ from ..errors import (
     UnknownStore,
 )
 from ..obs import current_trace_id
+from ..query.verbs import VERBS, Params, Verb
 
 __all__ = ["RetryBudget", "RetryPolicy", "ServeClient", "ServeResponse"]
 
@@ -118,13 +125,15 @@ class RetryPolicy:
     @staticmethod
     def retryable(error: BaseException) -> bool:
         """Overload, degradation-unavailable and transport errors retry;
-        client bugs (400/404) and deadline expiry do not."""
+        client bugs (any 4xx but 429) and deadline expiry do not."""
         if isinstance(error, (RateLimited, Overloaded, Degraded)):
             return True
         if isinstance(error, (BadRequest, UnknownStore, DeadlineExceeded)):
             return False
         if isinstance(error, ServeError):
-            return True
+            # Any other 4xx (``query.invalid``, ``store.invalid``, ...) is
+            # the request's fault: sending it again cannot succeed.
+            return error.status == 429 or not 400 <= error.status < 500
         if isinstance(error, ReproError):
             return False
         # Transport-level: connection refused/reset, truncated body
@@ -147,8 +156,9 @@ class ServeResponse(dict):
 class ServeClient:
     """HTTP client for a :class:`~repro.serve.server.QueryServer`.
 
-    ``client.knn(...)`` etc. mirror the :class:`~repro.query.QueryEngine`
-    call shapes and return the decoded JSON body (floats round-trip
+    ``client.knn("fleet", queries, k=4)`` etc. take a verb's params
+    (:mod:`repro.query.verbs`) and return the decoded JSON body: the
+    verb's codec output plus ``degraded`` (floats round-trip
     bit-identically through JSON, so ``distances`` match the library path
     exactly).
     """
@@ -296,97 +306,45 @@ class ServeClient:
             self._call("GET", f"/traces/recent?n={int(n)}").get("traces", [])
         )
 
-    def knn(
-        self,
-        store: str,
-        queries,
-        k: int = 5,
-        use_index: bool = True,
-        refine_chunk: int = 16,
-        exclude_ids: Sequence = (),
-        deadline_ms: Optional[float] = None,
-    ) -> ServeResponse:
-        body: Dict[str, Any] = {
-            "queries": _listify(queries),
-            "k": int(k),
-            "use_index": bool(use_index),
-            "refine_chunk": int(refine_chunk),
-        }
-        if exclude_ids:
-            body["exclude_ids"] = list(exclude_ids)
-        if deadline_ms is not None:
-            body["deadline_ms"] = float(deadline_ms)
-        return self._call("POST", f"/stores/{store}/knn", body)
-
-    def match(self, store: str, pattern: str,
-              meters: Optional[Sequence] = None,
+    def query(self, store: str, verb: str, params: Params,
               deadline_ms: Optional[float] = None) -> ServeResponse:
-        body: Dict[str, Any] = {"pattern": pattern}
-        if meters is not None:
-            body["meters"] = list(meters)
+        """Send one query verb; ``params`` is its :data:`VERBS` params."""
+        body = params.to_body()
         if deadline_ms is not None:
             body["deadline_ms"] = float(deadline_ms)
-        return self._call("POST", f"/stores/{store}/match", body)
-
-    def agg(self, store: str, meters: Optional[Sequence] = None,
-            level: Optional[int] = None, per_day: bool = False,
-            deadline_ms: Optional[float] = None) -> ServeResponse:
-        body: Dict[str, Any] = {"per_day": bool(per_day)}
-        if meters is not None:
-            body["meters"] = list(meters)
-        if level is not None:
-            body["level"] = int(level)
-        if deadline_ms is not None:
-            body["deadline_ms"] = float(deadline_ms)
-        return self._call("POST", f"/stores/{store}/agg", body)
-
-    def anomaly(self, store: str, meters: Optional[Sequence] = None,
-                deadline_ms: Optional[float] = None) -> ServeResponse:
-        body: Dict[str, Any] = {}
-        if meters is not None:
-            body["meters"] = list(meters)
-        if deadline_ms is not None:
-            body["deadline_ms"] = float(deadline_ms)
-        return self._call("POST", f"/stores/{store}/anomaly", body)
-
-    def drift(self, store: str, meters: Optional[Sequence] = None,
-              deadline_ms: Optional[float] = None) -> ServeResponse:
-        body: Dict[str, Any] = {}
-        if meters is not None:
-            body["meters"] = list(meters)
-        if deadline_ms is not None:
-            body["deadline_ms"] = float(deadline_ms)
-        return self._call("POST", f"/stores/{store}/drift", body)
-
-    def private_agg(self, store: str, meters: Optional[Sequence] = None,
-                    level: Optional[int] = None, k_anon: int = 5,
-                    epsilon: Optional[float] = None, seed: int = 0,
-                    deadline_ms: Optional[float] = None) -> ServeResponse:
-        body: Dict[str, Any] = {"k_anon": int(k_anon), "seed": int(seed)}
-        if meters is not None:
-            body["meters"] = list(meters)
-        if level is not None:
-            body["level"] = int(level)
-        if epsilon is not None:
-            body["epsilon"] = float(epsilon)
-        if deadline_ms is not None:
-            body["deadline_ms"] = float(deadline_ms)
-        return self._call("POST", f"/stores/{store}/private_agg", body)
+        return self._call("POST", f"/stores/{store}/{verb}", body)
 
     def append(self, store: str, indices, reason: str = "append",
                idempotency_key: Optional[str] = None) -> ServeResponse:
         """Append a segment; safe to retry (key auto-generated if absent)."""
         if idempotency_key is None:
             idempotency_key = uuid.uuid4().hex
+        if hasattr(indices, "tolist"):  # json can't take an ndarray
+            indices = indices.tolist()
         body = {
-            "indices": _listify(indices),
+            "indices": indices,
             "reason": reason,
             "idempotency_key": idempotency_key,
         }
         return self._call("POST", f"/stores/{store}/append", body)
 
 
-def _listify(value) -> Any:
-    """Arrays → nested lists; lists pass through (json can't take ndarray)."""
-    tolist = getattr(value, "tolist", None)
-    return tolist() if callable(tolist) else value
+def _verb_method(verb: Verb) -> Callable[..., ServeResponse]:
+    """``ServeClient.<verb>(store, *required, deadline_ms=None, **rest)``."""
+    def method(self: ServeClient, store: str, *args: Any,
+               deadline_ms: Optional[float] = None,
+               **kwargs: Any) -> ServeResponse:
+        return self.query(
+            store, verb.name, verb.params(*args, **kwargs), deadline_ms
+        )
+
+    method.__name__ = method.__qualname__ = verb.name
+    method.__doc__ = (
+        f"``POST /stores/<store>/{verb.name}``; arguments after ``store`` "
+        f"are :class:`~repro.query.verbs.{verb.params.__name__}`'s fields."
+    )
+    return method
+
+
+for _verb in VERBS.values():
+    setattr(ServeClient, _verb.name, _verb_method(_verb))

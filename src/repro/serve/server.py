@@ -61,7 +61,8 @@ from ..obs import (
     registry as obs_registry,
     tracer as obs_tracer,
 )
-from ..query import Deadline, QueryConfig, QueryEngine
+from ..query import Deadline, QueryEngine
+from ..query.verbs import VERBS
 from ..store import (
     append_segment,
     faults,
@@ -313,38 +314,25 @@ class StoreManager:
         return sorted(self.handles)
 
 
-class _Metrics:
-    """Serve-layer counters, backed by the process :mod:`repro.obs` registry.
+#: The serve-layer counters.  The server registers them when it starts, so
+#: each reads 0 on ``/metrics`` before its first event.
+_COUNTERS = (
+    ("serve.requests_total", "HTTP requests received"),
+    ("serve.errors_total", "Requests answered with 5xx or 429"),
+    ("serve.rate_limited_total", "Requests rejected by the token bucket"),
+    ("serve.shed_total", "Requests shed by admission control"),
+    ("serve.deadline_expired_total", "Requests that outran their deadline"),
+    ("serve.degraded_responses_total",
+     "Answers served from degraded snapshots"),
+    ("serve.appends_total", "Segments appended via POST .../append"),
+    ("serve.append_duplicates_total",
+     "Idempotent append retries deduplicated"),
+)
 
-    The short names ``GET /metrics`` has always reported are kept; each one
-    is an alias for a ``serve.*`` counter in the registry, so the JSON view,
-    the Prometheus exposition and every other registry consumer read the
-    same numbers.
-    """
-
-    _COUNTERS = (
-        ("requests_total", "HTTP requests received"),
-        ("errors_total", "Requests answered with 5xx or 429"),
-        ("rate_limited_total", "Requests rejected by the token bucket"),
-        ("shed_total", "Requests shed by admission control"),
-        ("deadline_expired_total", "Requests that outran their deadline"),
-        ("degraded_responses_total", "Answers served from degraded snapshots"),
-        ("appends_total", "Segments appended via POST .../append"),
-        ("append_duplicates_total", "Idempotent append retries deduplicated"),
-    )
-
-    def __init__(self) -> None:
-        reg = obs_registry()
-        self._by_name = {
-            name: reg.counter(f"serve.{name}", help_text)
-            for name, help_text in self._COUNTERS
-        }
-
-    def bump(self, counter: str, by: int = 1) -> None:
-        self._by_name[counter].inc(by)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: c.value for name, c in self._by_name.items()}
+#: The ``op`` values a POST may carry into a span name or a metric label;
+#: any other URL segment is labelled ``unknown``, so a client cannot grow
+#: the registry one series per made-up operation.
+_OPS = frozenset(VERBS) | {"append"}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -355,7 +343,6 @@ class _Handler(BaseHTTPRequestHandler):
     manager: StoreManager
     gate: AdmissionGate
     bucket: TokenBucket
-    metrics: _Metrics
     server_config: ServerConfig
 
     # Silence the default stderr access log; tests capture stderr.
@@ -407,7 +394,7 @@ class _Handler(BaseHTTPRequestHandler):
         status = protocol.status_of(error)
         retry_after = getattr(error, "retry_after", None)
         if status >= 500 or status == 429:
-            self.metrics.bump("errors_total")
+            obs_registry().counter("serve.errors_total").inc()
         self._send(status, protocol.error_body(error), retry_after)
 
     def _read_body(self) -> bytes:
@@ -445,7 +432,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/healthz":
                 self._send(200, {"ok": True})
                 return
-            self.metrics.bump("requests_total")
+            obs_registry().counter("serve.requests_total").inc()
             if path == "/metrics":
                 accept = self.headers.get("Accept") or ""
                 if "format=prometheus" in query or "text/plain" in accept:
@@ -479,9 +466,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         started = time.perf_counter()
-        op = "unknown"
+        label = "unknown"
         try:
-            self.metrics.bump("requests_total")
+            obs_registry().counter("serve.requests_total").inc()
             path = self.path.split("?", 1)[0].rstrip("/")
             if not path.startswith("/stores/"):
                 raise UnknownStore(f"no such endpoint: {self.path}")
@@ -489,6 +476,8 @@ class _Handler(BaseHTTPRequestHandler):
             if "/" not in rest:
                 raise UnknownStore(f"no such endpoint: {self.path}")
             name, op = rest.split("/", 1)
+            if op in _OPS:
+                label = op
             # Trace continuity: a client-sent X-Repro-Trace-Id becomes this
             # request's trace id (and is echoed back); with tracing on and
             # no header, the server mints one so /traces/recent correlates.
@@ -498,7 +487,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             ok, retry_after = self.bucket.acquire()
             if not ok:
-                self.metrics.bump("rate_limited_total")
+                obs_registry().counter("serve.rate_limited_total").inc()
                 raise RateLimited(
                     "request rate exceeded; retry later",
                     retry_after=retry_after,
@@ -515,8 +504,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self._defer_send = True
                     try:
                         with trace.span(
-                            f"serve.{op}", _trace_id=self._trace_id,
-                            store=name, op=op,
+                            f"serve.{label}", _trace_id=self._trace_id,
+                            store=name, op=label,
                         ):
                             self._dispatch(name, op, body, deadline)
                     finally:
@@ -524,10 +513,10 @@ class _Handler(BaseHTTPRequestHandler):
                     if self._deferred is not None:
                         self._send(*self._deferred)
             except Overloaded:
-                self.metrics.bump("shed_total")
+                obs_registry().counter("serve.shed_total").inc()
                 raise
         except DeadlineExceeded as error:
-            self.metrics.bump("deadline_expired_total")
+            obs_registry().counter("serve.deadline_expired_total").inc()
             self._send_error(error)
         except ReproError as error:
             self._send_error(error)
@@ -538,7 +527,7 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             obs_registry().histogram(
                 "serve.request_seconds", "Request latency per endpoint",
-                op=op,
+                op=label,
             ).observe(time.perf_counter() - started)
 
     # -- endpoints ---------------------------------------------------------------
@@ -556,7 +545,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _metrics_body(self) -> Dict:
         body = {
-            "metrics": self.metrics.snapshot(),
             "admission": self.gate.snapshot(),
             "stores": {},
             # The full registry view: every counter/gauge/histogram in the
@@ -576,10 +564,17 @@ class _Handler(BaseHTTPRequestHandler):
         if op == "append":
             self._append(handle, body)
             return
+        verb = VERBS.get(op)
+        if verb is None:
+            raise UnknownStore(f"no such operation: {op!r}")
+        params = verb.params.from_body(body)
+        workers = self.server_config.workers
         snapshot = handle.lease()
         try:
             try:
-                result = self._run_query(snapshot.engine, op, body, deadline)
+                result = verb.answer(
+                    snapshot.engine, params, workers, deadline
+                )
             except CorruptStoreError as error:
                 # Mid-query integrity failure: heal in the background,
                 # retry once against the reopened (quarantine-aware)
@@ -590,8 +585,8 @@ class _Handler(BaseHTTPRequestHandler):
                 handle.on_query_corruption()
                 snapshot = handle.lease()
                 try:
-                    result = self._run_query(
-                        snapshot.engine, op, body, deadline
+                    result = verb.answer(
+                        snapshot.engine, params, workers, deadline
                     )
                 except CorruptStoreError:
                     handle.breaker.record_failure()
@@ -602,68 +597,11 @@ class _Handler(BaseHTTPRequestHandler):
                     )
             result["degraded"] = snapshot.degraded
             if snapshot.degraded:
-                self.metrics.bump("degraded_responses_total")
+                obs_registry().counter("serve.degraded_responses_total").inc()
             self._send(200, result)
         finally:
             if snapshot is not None:
                 snapshot.release()
-
-    def _run_query(self, engine: QueryEngine, op: str, body: Dict,
-                   deadline: Optional[Deadline]) -> Dict:
-        workers = self.server_config.workers
-        if op == "knn":
-            queries = protocol.parse_queries(body)
-            config = QueryConfig(
-                k=int(body.get("k", 5)),
-                use_index=bool(body.get("use_index", True)),
-                refine_chunk=int(body.get("refine_chunk", 16)),
-                workers=workers,
-            )
-            result = engine.knn(
-                queries, config,
-                exclude_ids=body.get("exclude_ids", ()) or (),
-                deadline=deadline,
-            )
-            return protocol.knn_body(result)
-        if op == "match":
-            pattern = body.get("pattern")
-            if not isinstance(pattern, str) or not pattern:
-                raise BadRequest("request body needs a 'pattern' string")
-            matches = engine.match(
-                pattern, meters=protocol.parse_meters(body),
-                workers=workers, deadline=deadline,
-            )
-            return protocol.match_body(matches)
-        if op == "agg":
-            report = engine.aggregate(
-                meters=protocol.parse_meters(body),
-                level=body.get("level"),
-                per_day=bool(body.get("per_day", False)),
-                workers=workers, deadline=deadline,
-            )
-            return protocol.agg_body(report)
-        if op == "anomaly":
-            report = engine.anomaly(
-                meters=protocol.parse_meters(body),
-                workers=workers, deadline=deadline,
-            )
-            return protocol.anomaly_body(report)
-        if op == "drift":
-            report = engine.drift(
-                meters=protocol.parse_meters(body), deadline=deadline,
-            )
-            return protocol.drift_body(report)
-        if op == "private_agg":
-            report = engine.private_aggregate(
-                meters=protocol.parse_meters(body),
-                level=body.get("level"),
-                k_anon=int(body.get("k_anon", 5)),
-                epsilon=body.get("epsilon"),
-                seed=int(body.get("seed", 0)),
-                workers=workers, deadline=deadline,
-            )
-            return protocol.private_agg_body(report)
-        raise UnknownStore(f"no such operation: {op!r}")
 
     def _append(self, handle: _StoreHandle, body: Dict) -> None:
         if not handle.path.is_dir():
@@ -686,11 +624,13 @@ class _Handler(BaseHTTPRequestHandler):
             if key is not None:
                 prior = self._find_append(handle.path, reason)
                 if prior is not None:
-                    self.metrics.bump("append_duplicates_total")
+                    obs_registry().counter(
+                        "serve.append_duplicates_total"
+                    ).inc()
                     self._send(200, dict(prior, duplicate=True))
                     return
             record = append_segment(handle.path, matrix, reason=reason)
-            self.metrics.bump("appends_total")
+            obs_registry().counter("serve.appends_total").inc()
             generation = snapshot_stamp(handle.path)
         self._send(200, {
             "segment": record.name,
@@ -739,7 +679,8 @@ class QueryServer:
         self.manager = StoreManager(stores, self.config)
         if self.config.tracing:
             enable_tracing(sink=self.config.trace_sink)
-        self.metrics = _Metrics()
+        for counter, help_text in _COUNTERS:
+            obs_registry().counter(counter, help_text)
         self.gate = AdmissionGate(
             max_concurrent=self.config.max_concurrent,
             max_queue=self.config.max_queue,
@@ -751,7 +692,6 @@ class QueryServer:
             "manager": self.manager,
             "gate": self.gate,
             "bucket": self.bucket,
-            "metrics": self.metrics,
             "server_config": self.config,
         })
         self._httpd = ThreadingHTTPServer((host, port), handler)

@@ -509,7 +509,7 @@ class SymbolStore:
     def _column(self, meter) -> int:
         try:
             return self._id_index[meter]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise StoreError(f"no column {meter!r} in {self.path.name}") from None
 
     def _resolve_meters(self, meters) -> List[int]:

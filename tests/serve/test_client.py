@@ -13,6 +13,7 @@ from repro.errors import (
     Overloaded,
     RateLimited,
     RetryBudgetExceeded,
+    ServeError,
     UnknownStore,
 )
 from repro.serve import RetryBudget, RetryPolicy, ServeClient
@@ -203,3 +204,22 @@ class TestErrorDecoding:
         assert info.value.budget_ms == 40.0
         assert info.value.elapsed_ms is not None
         assert info.value.elapsed_ms >= 40.0
+
+    def test_engine_side_4xx_is_not_retried(self, server):
+        """A ``query.invalid`` 400 fails fast and leaves the budget alone."""
+        client = ServeClient(server.url, timeout=10.0)
+        attempts = []
+        real_once = client._once
+
+        def once(*args):
+            attempts.append(args)
+            return real_once(*args)
+
+        client._once = once
+        balance = client.budget.balance
+        with pytest.raises(ServeError) as info:
+            client.agg("fleet", level=99)
+        assert (info.value.code, info.value.status) == ("query.invalid", 400)
+        assert len(attempts) == 1
+        assert client.retries_total == 0
+        assert client.budget.balance == balance

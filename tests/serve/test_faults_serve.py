@@ -88,8 +88,8 @@ class TestDegradedServing:
             assert healed["degraded"] is False
             # The quarantined segment is parked, not deleted.
             assert (fleet_dir / "quarantine" / victim.name).exists()
-            metrics = client.metrics()["metrics"]
-            assert metrics["degraded_responses_total"] >= 1
+            metrics = client.metrics()["registry"]["counters"]
+            assert metrics["serve.degraded_responses_total"] >= 1
 
     def test_bit_rot_mid_serve_degrades_then_recovers(self, fleet_dir):
         """Payload rot is invisible to a lazy open: the query trips on it,

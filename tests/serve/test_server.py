@@ -24,8 +24,10 @@ from repro.errors import (
     DeadlineExceeded,
     Overloaded,
     RateLimited,
+    ServeError,
     UnknownStore,
 )
+from repro.obs import registry as obs_registry
 from repro.query import QueryConfig, QueryEngine
 from repro.serve import (
     QueryServer,
@@ -145,6 +147,47 @@ class TestStructuredErrors:
             no_retry(server.url)._call(
                 "POST", "/stores/fleet/agg", {"deadline_ms": -5}
             )
+
+    @pytest.mark.parametrize("op,body", [
+        ("knn", {"k": "three"}),
+        ("knn", {"refine_chunk": "x"}),
+        ("knn", {"exclude_ids": 5}),
+        ("knn", {"use_index": "false"}),
+        ("agg", {"level": "high"}),
+        ("agg", {"per_day": "false"}),
+        ("private_agg", {"k_anon": "five"}),
+        ("private_agg", {"epsilon": "big"}),
+        ("private_agg", {"seed": "s"}),
+    ])
+    def test_malformed_param_400(self, server, op, body):
+        """Each param's type is checked: a 400, never a 500 or a misread."""
+        if op == "knn":
+            body = dict(body, queries=fleet_values()[:1].tolist())
+        errors = obs_registry().counter_value("serve.errors_total")
+        with pytest.raises(BadRequest):
+            no_retry(server.url)._call("POST", f"/stores/fleet/{op}", body)
+        assert obs_registry().counter_value("serve.errors_total") == errors
+
+    def test_unhashable_meter_id_400(self, server):
+        errors = obs_registry().counter_value("serve.errors_total")
+        with pytest.raises(ServeError) as info:
+            no_retry(server.url).agg("fleet", meters=[[0, 1]])
+        assert (info.value.code, info.value.status) == ("store.invalid", 400)
+        assert obs_registry().counter_value("serve.errors_total") == errors
+
+    def test_unknown_ops_share_one_latency_series(self, server):
+        def series():
+            return {
+                key for key in obs_registry().snapshot()["histograms"]
+                if key.startswith("serve.request_seconds")
+            }
+
+        client = no_retry(server.url)
+        before = series()
+        for i in range(50):
+            with pytest.raises(UnknownStore):
+                client._call("POST", f"/stores/fleet/op-{i}", {})
+        assert len(series() - before) <= 1
 
     def test_server_survives_errors(self, server, client):
         """After a pile of failures the server still answers healthily."""
