@@ -2,11 +2,12 @@
 
 Measures what the crash-safety layer costs: append latency for one
 day-sized segment (write + checksum + fsync + atomic manifest commit),
-scrub throughput in bytes per second, and the checksum tax on the read
-path — an eagerly verified full-matrix read versus the same read with
-verification off.  The read-overhead entry is the acceptance check for
-the PR: verified reads must stay within 10% of unverified ones, so the
-integrity guarantees are effectively free at query time.
+scrub throughput in bytes per second, the CRC32C kernel's own bytes per
+second, and the checksum tax on the read path — an eagerly verified
+full-matrix read versus the same read with verification off.  The
+read-overhead entry is the acceptance check for the durability layer:
+verified reads must stay within 10% of unverified ones, so the integrity
+guarantees are effectively free at query time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.store import (
     scrub_store,
     write_segmented_fleet,
 )
+
+from repro.store.checksum import crc32c, crc32c_rows
 
 from .conftest import write_result
 
@@ -87,6 +90,26 @@ def test_scrub_throughput(benchmark, segment_dir):
         "segments_checked": report.segments_checked,
         "bytes_checked": report.bytes_checked,
         "scrub_bytes_per_s": report.bytes_checked / mean,
+    })
+
+
+@pytest.mark.parametrize("case", ["32KiB", "1MiB", "rows-1024x48"])
+def test_crc32c_throughput(benchmark, case):
+    """CRC32C bytes/s on a segment-header-sized buffer, a 1 MiB buffer
+    (whole-file checks stream 4 MiB chunks) and one 1 024-column batch of
+    48-byte payloads, the shape a column verify or a writer shard hands
+    :func:`crc32c_rows`."""
+    rng = np.random.default_rng(29)
+    if case.startswith("rows"):
+        data = rng.integers(0, 256, size=(1024, 48), dtype=np.uint8)
+        benchmark(crc32c_rows, data)
+    else:
+        size = {"32KiB": 32 << 10, "1MiB": 1 << 20}[case]
+        data = rng.integers(0, 256, size=size, dtype=np.uint8)
+        benchmark(crc32c, data)
+    benchmark.extra_info.update({
+        "nbytes": int(data.size),
+        "bytes_per_s": data.size / benchmark.stats.stats.mean,
     })
 
 

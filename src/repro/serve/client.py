@@ -47,16 +47,35 @@ from ..errors import (
     DeadlineExceeded,
     Degraded,
     Overloaded,
+    QueryError,
     RateLimited,
     ReproError,
     RetryBudgetExceeded,
     ServeError,
+    StoreError,
     UnknownStore,
 )
 from ..obs import current_trace_id
 from ..query.verbs import VERBS, Params, Verb
 
 __all__ = ["RetryBudget", "RetryPolicy", "ServeClient", "ServeResponse"]
+
+
+class _RemoteQueryError(QueryError, ServeError):
+    """An engine-side ``query.invalid`` 400: the :class:`QueryError` the
+    local call raises (same exit code), still a :class:`ServeError`."""
+
+    status = 400
+    exit_code = QueryError.exit_code
+
+
+class _RemoteStoreError(StoreError, ServeError):
+    """An engine-side ``store.invalid`` 400: the :class:`StoreError` the
+    local call raises (same exit code), still a :class:`ServeError`."""
+
+    status = 400
+    exit_code = StoreError.exit_code
+
 
 #: Wire code → exception class, the inverse of the server's taxonomy.
 _CODE_TO_ERROR = {
@@ -65,6 +84,8 @@ _CODE_TO_ERROR = {
     "serve.degraded-unavailable": Degraded,
     "serve.unknown-store": UnknownStore,
     "serve.bad-request": BadRequest,
+    "query.invalid": _RemoteQueryError,
+    "store.invalid": _RemoteStoreError,
 }
 
 

@@ -170,6 +170,15 @@ def pack_columns(matrix: np.ndarray, bits: int, layout: str) -> List[tuple]:
     return columns
 
 
+def _payload_crcs(payloads: Sequence[bytes]) -> List[int]:
+    """CRC32C of each payload: one row-kernel call when the widths agree."""
+    width = len(payloads[0]) if payloads else 0
+    if width and all(len(payload) == width for payload in payloads):
+        rows = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+        return crc32c_rows(rows.reshape(len(payloads), width)).tolist()
+    return [crc32c(payload) for payload in payloads]
+
+
 class SymbolStoreWriter:
     """Streaming writer for ``.rsym`` stores (one column per append).
 
@@ -286,51 +295,44 @@ class SymbolStoreWriter:
         tables: Optional[Sequence[Optional[LookupTable]]] = None,
         labels: Optional[Sequence[Optional[str]]] = None,
     ) -> None:
-        """Write already-packed :func:`pack_columns` output, in row order."""
+        """Write already-packed :func:`pack_columns` output, in row order.
+
+        The batch's column CRCs come from one :func:`crc32c_rows` call when
+        the payloads share a width (every dense shard does), else from one
+        :func:`crc32c` call per column.
+        """
+        crcs = _payload_crcs([payload for payload, _, _ in columns])
         for row, (payload, count, run_lengths) in enumerate(columns):
             table = tables[row] if tables is not None else None
             label = labels[row] if labels is not None else None
             if self.layout == DENSE:
-                self.append_packed(
-                    column_ids[row], payload, count, table=table, label=label
+                self._append_packed(
+                    column_ids[row], payload, count, table, label, crcs[row]
                 )
             else:
-                self.append_runs(
-                    column_ids[row], payload, run_lengths, count,
-                    table=table, label=label,
+                self._append_runs(
+                    column_ids[row], payload, run_lengths, count, table, label,
+                    crcs[row],
                 )
 
-    def append_packed(
-        self,
-        column_id,
-        payload: bytes,
-        count: int,
-        table: Optional[LookupTable] = None,
-        label: Optional[str] = None,
+    def _append_packed(
+        self, column_id, payload: bytes, count: int,
+        table: Optional[LookupTable], label: Optional[str], crc: int,
     ) -> None:
-        """Write an already-packed dense column (worker-side packing)."""
-        if self.layout != DENSE:
-            raise StoreError("append_packed is only valid for dense stores")
+        """Write an already-packed dense column whose CRC32C is ``crc``."""
         expected = packed_nbytes(count, self.bits_per_symbol)
         if len(payload) != expected:
             raise StoreError(
                 f"packed column of {count} symbols must be {expected} bytes, "
                 f"got {len(payload)}"
             )
-        self._append_payload(column_id, payload, count=count, table=table, label=label)
+        self._append_payload(column_id, payload, count, table, label, crc)
 
-    def append_runs(
-        self,
-        column_id,
-        packed_values: bytes,
-        run_lengths: np.ndarray,
-        count: int,
-        table: Optional[LookupTable] = None,
-        label: Optional[str] = None,
+    def _append_runs(
+        self, column_id, packed_values: bytes, run_lengths: np.ndarray,
+        count: int, table: Optional[LookupTable], label: Optional[str], crc: int,
     ) -> None:
-        """Write one RLE column: packed run values now, lengths at close."""
-        if self.layout != RLE:
-            raise StoreError("append_runs is only valid for rle stores")
+        """Write one RLE column (CRC32C ``crc``): run values now, lengths at close."""
         lengths = np.asarray(run_lengths, dtype=np.int64).ravel()
         if int(lengths.sum()) != int(count):
             raise StoreError(
@@ -346,11 +348,11 @@ class SymbolStoreWriter:
             )
         self._run_counts.append(int(lengths.size))
         self._length_chunks.append(lengths.astype(_LENGTH_DTYPE))
-        self._append_payload(column_id, packed_values, count=count, table=table, label=label)
+        self._append_payload(column_id, packed_values, count, table, label, crc)
 
     def _append_payload(
         self, column_id, payload: bytes, count: int,
-        table: Optional[LookupTable], label: Optional[str],
+        table: Optional[LookupTable], label: Optional[str], crc: int,
     ) -> None:
         if self._closed:
             raise StoreError("writer is closed")
@@ -366,7 +368,7 @@ class SymbolStoreWriter:
         self._labels.append(label)
         self._counts.append(int(count))
         self._offsets.append(self._position)
-        self._column_crcs.append(crc32c(payload))
+        self._column_crcs.append(int(crc))
         self._write(payload)
         self._position += len(payload)
 
@@ -729,44 +731,50 @@ class _Segment:
 
         Equal-width batches run through :func:`crc32c_rows` — one vectorized
         state-update across all columns at once — so verifying a whole fleet
-        costs a single pass, not ``n_meters`` Python-level CRC loops.
+        costs a single pass, not ``n_meters`` Python-level CRC loops.  Pending
+        columns are found with one mask lookup, not a Python loop.
         """
         if self._column_crcs is None:
             return
-        pending = [c for c in columns if not self._verified[c]]
-        if not pending:
+        requested = np.asarray(columns, dtype=np.int64)
+        idx = requested[~self._verified[requested]]
+        if not idx.size:
             return
         from ..obs import registry as _obs_registry
         _obs_registry().counter(
             "store.checksum_verifies_total",
             "Column payload CRC32C verifications",
-        ).inc(len(pending))
-        idx = np.asarray(pending, dtype=np.int64)
+        ).inc(int(idx.size))
         widths = self._column_widths(idx)
         if idx.size > 1 and np.all(widths == widths[0]) and int(widths[0]) > 0:
             width = int(widths[0])
             base = self.offsets[idx]
-            block = self._payload[
-                base[:, None] + np.arange(width, dtype=np.int64)[None, :]
-            ]
-            actual = crc32c_rows(np.ascontiguousarray(block)).astype(np.int64)
-            stored = self._column_crcs[idx]
-            good = actual == stored
-            self._verified[idx[good]] = True
-            bad = np.nonzero(~good)[0]
-            if bad.size:
-                first = int(bad[0])
-                raise self._corrupt_column(
-                    int(idx[first]), int(stored[first]), int(actual[first])
+            if np.all(np.diff(base) == width):
+                # Adjacent columns (a whole dense segment): a reshape of the
+                # payload, no gather.
+                start = int(base[0])
+                block = self._payload[start: start + idx.size * width].reshape(
+                    idx.size, width
                 )
-            return
-        for position, column in enumerate(pending):
-            start = int(self.offsets[column])
-            actual = crc32c(self._payload[start: start + int(widths[position])])
-            stored = int(self._column_crcs[column])
-            if actual != stored:
-                raise self._corrupt_column(column, stored, actual)
-            self._verified[column] = True
+            else:
+                block = self._payload[
+                    base[:, None] + np.arange(width, dtype=np.int64)[None, :]
+                ]
+            actual = crc32c_rows(block)
+        else:
+            actual = np.asarray([
+                crc32c(self._payload[start: start + width])
+                for start, width in zip(self.offsets[idx].tolist(), widths.tolist())
+            ], dtype=np.uint32)
+        good = actual.astype(np.int64) == self._column_crcs[idx]
+        self._verified[idx[good]] = True
+        bad = np.nonzero(~good)[0]
+        if bad.size:
+            first = int(bad[0])
+            column = int(idx[first])
+            raise self._corrupt_column(
+                column, int(self._column_crcs[column]), int(actual[first])
+            )
 
     def _verify_lengths(self) -> None:
         """Check the RLE run-length array's CRC32C (once)."""

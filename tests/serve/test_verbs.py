@@ -7,7 +7,8 @@ registry entry and one row to ``PARAMS`` / ``CLI_FORMS``:
 * **wire parity** — a served body minus ``degraded`` is byte-identical to
   ``protocol.dumps`` of the verb's codec on an in-process engine run;
 * **CLI parity** — ``repro query ... --remote`` prints exactly what the
-  local command prints;
+  local command prints, and a request the engine refuses exits with the
+  local exit code and message;
 * **completeness** — the server, ``ServeClient`` and ``repro query`` reach
   every verb.
 """
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.errors import QueryError, ServeError, StoreError
 from repro.query import QueryEngine
 from repro.query.verbs import (
     VERBS,
@@ -111,6 +113,44 @@ def test_remote_cli_prints_what_local_prints(
         capsys, ["query", verb, "fleet", *flags, "--remote", server.url]
     )
     assert local and remote == local
+
+
+@pytest.fixture()
+def short_query_csv(tmp_path):
+    path = tmp_path / "short.csv"
+    np.savetxt(path, QUERIES[:, :-1], delimiter=",")
+    return path
+
+
+@pytest.mark.parametrize("form", [
+    ["agg", "--level", "99"],
+    ["knn", "--query-csv", "S", "--k", "3"],
+], ids=lambda f: " ".join(f[:3]))
+def test_remote_cli_exit_code_matches_local(
+    form, server, fleet_dir, short_query_csv, capsys
+):
+    verb, *flags = [str(short_query_csv) if arg == "S" else arg for arg in form]
+    local = main(["query", verb, str(fleet_dir), *flags])
+    local_err = capsys.readouterr().err
+    remote = main(["query", verb, "fleet", *flags, "--remote", server.url])
+    remote_err = capsys.readouterr().err
+    assert (remote, remote_err) == (local, local_err)
+    assert local == 1 and local_err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kwargs,local_type,code", [
+    ({"level": 99}, QueryError, "query.invalid"),
+    ({"meters": [10 ** 6]}, StoreError, "store.invalid"),
+])
+def test_engine_refusal_decodes_to_the_local_error(
+    client, kwargs, local_type, code
+):
+    with pytest.raises(local_type) as info:
+        client.agg("fleet", **kwargs)
+    error = info.value
+    assert (error.code, error.status, error.exit_code) == (code, 400, 1)
+    assert isinstance(error, ServeError)
+    assert client.retries_total == 0
 
 
 def test_registry_covers_every_front_end(server, client, monkeypatch,

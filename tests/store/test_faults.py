@@ -10,6 +10,8 @@ still serves exact answers (read-side corruption, caught by checksums).
 
 from __future__ import annotations
 
+import re
+import struct
 import warnings
 from pathlib import Path
 
@@ -28,7 +30,8 @@ from repro.store import (
     open_store,
     scrub_store,
 )
-from repro.store.format import MAGIC_HEAD
+from repro.store.checksum import _LANE_THRESHOLD
+from repro.store.format import MAGIC_HEAD, MAGIC_TAIL, _Segment
 
 LAYOUTS = [DENSE, RLE]
 
@@ -243,6 +246,102 @@ class TestManifestFaults:
         store.close()
         repaired = scrub_store(store_dir, repair=True)
         assert newest.name in repaired.invalid_manifests
+
+
+def _flip_digit(path: Path, after: bytes) -> None:
+    """Flip bit 0 of the last digit of the first number after ``after``.
+
+    A digit stays a digit and a number's last digit is never a leading
+    zero, so the JSON still parses: only a checksum can catch the change.
+    """
+    raw = path.read_bytes()
+    number = re.compile(rb"\d+").search(raw, raw.rindex(after) + len(after))
+    faults.flip_bit(path, number.end() - 1)
+
+
+class TestNamedChecks:
+    """Parseable damage, caught by the checksum named in ``check``.
+
+    The store is wide enough that each damaged region (segment header,
+    manifest body, run-length array) takes the CRC's lane path.
+    """
+
+    METERS = 300
+
+    def _store(self, tmp_path, layout) -> Path:
+        directory = tmp_path / "wide.rsyms"
+        create_segmented_store(directory, alphabet_size=8, layout=layout,
+                               ids=list(range(self.METERS))).close()
+        append_segment(directory, _indices(1, rows=self.METERS, windows=256))
+        append_segment(directory, _indices(2, rows=self.METERS, windows=256))
+        return directory
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_header_digit_flip_is_header_crc(self, tmp_path, layout):
+        directory = self._store(tmp_path, layout)
+        victim = directory / _segment_files(directory)[1]
+        footer = victim.read_bytes()[-len(MAGIC_TAIL) - 8: -len(MAGIC_TAIL)]
+        assert struct.unpack("<Q", footer)[0] >= _LANE_THRESHOLD
+        _flip_digit(victim, b'"counts":[')
+        with pytest.raises(CorruptStoreError) as excinfo:
+            SymbolStore.open(victim)
+        assert excinfo.value.check == "header_crc"
+        with pytest.warns(StoreIntegrityWarning) as caught:
+            store = SegmentedStore.open(directory)
+        assert [w.message.reason for w in caught] == ["header_crc"]
+        assert [name for name, _ in store.quarantined] == [victim.name]
+        store.close()
+
+    def test_run_length_flip_is_lengths_crc(self, tmp_path):
+        directory = self._store(tmp_path, RLE)
+        victim = directory / _segment_files(directory)[0]
+        segment = _Segment.open(victim)
+        assert segment._lengths_bytes.size >= _LANE_THRESHOLD
+        offset = len(MAGIC_HEAD) + int(segment._header["lengths_offset"])
+        segment.close()
+        faults.flip_bit(victim, offset)
+        store = SegmentedStore.open(directory)  # lazy: the header is intact
+        with pytest.raises(CorruptStoreError) as excinfo:
+            store.matrix()
+        assert excinfo.value.check == "lengths_crc"
+        store.close()
+        with pytest.warns(StoreIntegrityWarning) as caught:
+            store = SegmentedStore.open(directory, verify="eager")
+        assert [w.message.reason for w in caught] == ["lengths_crc"]
+        assert [name for name, _ in store.quarantined] == [victim.name]
+        store.close()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_eager_open_quarantines_only_the_damaged_segment(
+        self, tmp_path, layout
+    ):
+        # Segments of two widths: only the damaged one leaves the view.
+        directory = self._store(tmp_path, layout)
+        append_segment(directory, _indices(3, rows=self.METERS, windows=64))
+        with open_store(directory) as store:
+            healthy = store.matrix(window_range=(256, 576)).copy()
+        victim = directory / _segment_files(directory)[0]
+        faults.flip_bit(victim, len(MAGIC_HEAD) + 7)
+        with pytest.warns(StoreIntegrityWarning) as caught:
+            store = SegmentedStore.open(directory, verify="eager")
+        assert [w.message.reason for w in caught] == ["column_crc"]
+        assert [name for name, _ in store.quarantined] == [victim.name]
+        assert np.array_equal(store.matrix(), healthy)
+        store.close()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_manifest_digit_flip_is_manifest_crc(self, tmp_path, layout):
+        directory = self._store(tmp_path, layout)
+        newest = sorted(directory.glob("manifest-*.json"))[-1]
+        assert newest.stat().st_size >= _LANE_THRESHOLD
+        _flip_digit(newest, b'"windows":')
+        with pytest.warns(StoreIntegrityWarning) as caught:
+            store = SegmentedStore.open(directory)
+        assert [(w.message.kind, w.message.reason) for w in caught] == [
+            ("manifest", "manifest_crc")
+        ]
+        assert store.n_segments == 1
+        store.close()
 
 
 class TestInjectorMechanics:
