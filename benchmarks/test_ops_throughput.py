@@ -8,7 +8,11 @@ The PR 8 plan layer's proof of keep: the monitoring operators must be fast
   (the entry asserts **zero** columns decoded, the whole point);
 * aggregate queries/sec, cold vs cached — the engine's shared
   ``ColumnSource`` makes every aggregate after the first free of payload
-  reads, and the cached rate must show it.
+  reads, and the cached rate must show it;
+* anomaly meters/sec and match columns/sec on a segmented store of a
+  week of hourly segments, as an hourly append feed leaves it — the
+  run-level operators read runs one column block per segment, so their
+  cost must not grow with columns x segments.
 
 CI runs this file with ``--benchmark-json=BENCH_ops.json`` and gates on
 the floors in ``perf_floors.json``.
@@ -20,25 +24,45 @@ import numpy as np
 import pytest
 
 from repro.query import ColumnSource, QueryEngine, aggregate_store
-from repro.store import write_fleet_store
+from repro.store import write_fleet_store, write_segmented_fleet
 
 N_METERS = 192
 WINDOWS = 672
 ALPHABET = 16
+WINDOWS_PER_DAY = 96
+SEGMENTS = 168          # hourly segments: one week at 15-minute windows
+WINDOWS_PER_SEGMENT = 4
+MATCH_PATTERN = f"{ALPHABET - 4}{{4,}} * 2"
+
+
+def _fleet_values(windows: int) -> np.ndarray:
+    rng = np.random.default_rng(31)
+    levels = np.exp(rng.normal(5.5, 1.2, size=N_METERS))[:, None]
+    days = windows / WINDOWS_PER_DAY
+    day = 1.0 + 0.6 * np.sin(np.linspace(0, days * 2 * np.pi, windows))[None, :]
+    noise = rng.normal(0, 0.08, size=(N_METERS, windows))
+    return np.abs(levels * day + noise * levels)
 
 
 @pytest.fixture(scope="module")
 def ops_store(tmp_path_factory):
-    rng = np.random.default_rng(31)
-    levels = np.exp(rng.normal(5.5, 1.2, size=N_METERS))[:, None]
-    day = 1.0 + 0.6 * np.sin(np.linspace(0, 7 * 2 * np.pi, WINDOWS))[None, :]
-    noise = rng.normal(0, 0.08, size=(N_METERS, WINDOWS))
-    values = np.abs(levels * day + noise * levels)
     path = tmp_path_factory.mktemp("bench_ops") / "fleet.rsym"
     return write_fleet_store(
-        path, values, alphabet_size=ALPHABET, method="median", window=1,
-        shared_table=True, sampling_interval=900.0, query_index=True,
+        path, _fleet_values(WINDOWS), alphabet_size=ALPHABET, method="median",
+        window=1, shared_table=True, sampling_interval=900.0, query_index=True,
     )
+
+
+@pytest.fixture(scope="module")
+def segmented_store(tmp_path_factory):
+    """``SEGMENTS`` hourly segments and no index, so match scans every column."""
+    path = tmp_path_factory.mktemp("bench_ops_seg") / "fleet.rsyms"
+    write_segmented_fleet(
+        path, _fleet_values(SEGMENTS * WINDOWS_PER_SEGMENT),
+        alphabet_size=ALPHABET, method="median",
+        segment_windows=WINDOWS_PER_SEGMENT, sampling_interval=900.0,
+    ).close()
+    return path
 
 
 def test_anomaly_throughput(benchmark, ops_store):
@@ -100,3 +124,27 @@ def test_private_aggregate_throughput(benchmark, ops_store):
     assert report.n_meters == N_METERS
     mean = benchmark.stats.stats.mean
     benchmark.extra_info["releases_per_s"] = 1.0 / mean
+
+
+def test_segmented_anomaly_throughput(benchmark, segmented_store):
+    """Transition scoring over hourly segments: one run read per segment."""
+    engine = QueryEngine.open(segmented_store)
+    report = benchmark(engine.anomaly)
+    assert engine.store.n_segments == SEGMENTS
+    assert len(report.ids) == N_METERS
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info["meters_per_s"] = N_METERS / mean
+    benchmark.extra_info["segments"] = SEGMENTS
+    engine.close()
+
+
+def test_segmented_match_throughput(benchmark, segmented_store):
+    """Run-level pattern match over hourly segments, every column scanned."""
+    engine = QueryEngine.open(segmented_store)
+    matches = benchmark(engine.match, MATCH_PATTERN)
+    assert matches.columns_scanned == N_METERS
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info["columns_per_s"] = N_METERS / mean
+    benchmark.extra_info["segments"] = SEGMENTS
+    benchmark.extra_info["total_matches"] = matches.total_matches
+    engine.close()

@@ -5,13 +5,15 @@ day-sized segment (write + checksum + fsync + atomic manifest commit),
 scrub throughput in bytes per second, the CRC32C kernel's own bytes per
 second, and the checksum tax on the read path — an eagerly verified
 full-matrix read versus the same read with verification off.  The
-read-overhead entry is the acceptance check for the durability layer:
-verified reads must stay within 10% of unverified ones, so the integrity
+query-overhead entry is the acceptance check for the durability layer:
+verified kNN batches must stay within 10% of unverified ones, both on an
+open engine (steady state) and through an eager open, so the integrity
 guarantees are effectively free at query time.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -24,12 +26,15 @@ from repro.store import (
     write_segmented_fleet,
 )
 
+from repro.obs import registry
 from repro.store.checksum import crc32c, crc32c_rows
 
 from .conftest import write_result
 
 N_METERS = 200
 WINDOWS_PER_DAY = 96
+#: Interleaved (unverified, verified) timing pairs behind each tax ratio.
+PAIRS = 21
 N_DAYS = 8
 ALPHABET = 8
 
@@ -113,11 +118,26 @@ def test_crc32c_throughput(benchmark, case):
     })
 
 
+def _timed(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def _median_ratio(baseline, verified) -> tuple:
+    """Median of ``PAIRS`` interleaved ``verified / baseline`` timing ratios,
+    and the median verified time: a noisy neighbour slows both halves of a
+    pair instead of biasing one."""
+    pairs = [(_timed(baseline), _timed(verified)) for _ in range(PAIRS)]
+    ratio = statistics.median(v / b for b, v in pairs)
+    return ratio, statistics.median(v for _, v in pairs)
+
+
 @pytest.mark.parametrize("verify", ["off", "eager"])
 def test_checksum_read_overhead(benchmark, segment_dir, verify, results_dir):
     """Cold open + full matrix read, with and without CRC verification."""
-    def read_all():
-        with SegmentedStore.open(segment_dir, verify=verify) as store:
+    def read_all(mode=verify):
+        with SegmentedStore.open(segment_dir, verify=mode) as store:
             return store.matrix()
 
     matrix = benchmark(read_all)
@@ -129,45 +149,49 @@ def test_checksum_read_overhead(benchmark, segment_dir, verify, results_dir):
         "reads_per_s": 1.0 / mean,
         "symbols_per_s": matrix.size / mean,
     })
-    # Stash the mean on the module so the paired case can compute the ratio.
-    overheads = getattr(test_checksum_read_overhead, "_means", {})
-    overheads[verify] = mean
-    test_checksum_read_overhead._means = overheads
-    if len(overheads) == 2:
-        ratio = overheads["eager"] / overheads["off"]
-        benchmark.extra_info["verified_over_unverified"] = ratio
-        write_result(
-            results_dir, "segment_read_overhead",
-            f"unverified read:  {overheads['off'] * 1e3:.2f} ms\n"
-            f"verified read:    {overheads['eager'] * 1e3:.2f} ms\n"
-            f"checksum tax:     {100.0 * (ratio - 1.0):+.1f}%",
-        )
-        # Worst case by construction (cold open + one full read, so the
-        # one-time verify amortizes over nothing): keep it bounded, but the
-        # strict <10% acceptance lives on the query path below, where the
-        # verified-column cache makes checksums effectively free.
-        assert ratio < 1.5
+    if verify == "off":
+        return
+    ratio, verified = _median_ratio(lambda: read_all("off"), read_all)
+    benchmark.extra_info["verified_over_unverified"] = ratio
+    write_result(
+        results_dir, "segment_read_overhead",
+        f"verified read:    {verified * 1e3:.2f} ms\n"
+        f"checksum tax:     {100.0 * (ratio - 1.0):+.1f}%",
+    )
+    # Worst case by construction (cold open + one full read, so the
+    # one-time verify amortizes over nothing): keep it bounded, but the
+    # strict <10% acceptance lives on the query path below, where the
+    # verified-column cache makes checksums effectively free.
+    assert ratio < 1.5
 
 
 def test_query_throughput_with_checksums(benchmark, segment_dir, results_dir):
     """kNN throughput over a checksum-verified segmented store.
 
-    Acceptance for the durability layer: checksum-verified reads must cost
-    under 10% of query throughput.  Columns are verified once on first
-    touch and cached, so steady-state queries pay nothing — this measures
-    exactly that steady state against a verification-off engine.
+    Acceptance for the durability layer: checksum verification must cost
+    under 10% of query throughput, in two cases, each a
+    :func:`_median_ratio`:
+
+    * steady state — one open engine per mode, ``verify="lazy"`` against
+      ``"off"``.  Columns are verified once on first touch and cached, so
+      a steady-state batch pays nothing; the flake-free check beside the
+      ratio is that it adds zero to ``store.checksum_verifies_total``;
+    * eager open — each timed call opens the store with ``verify="eager"``
+      (every column CRC checked before the first read) against ``"off"``,
+      then runs one batch.
     """
     from repro.query import QueryEngine
     from repro.query.engine import QueryConfig
 
-    def run_queries(verify):
-        from repro.store import SegmentedStore
+    config = QueryConfig(k=5)
 
-        store = SegmentedStore.open(segment_dir, verify=verify)
-        engine = QueryEngine(store)
-        queries = store.decode(meters=[0, 50, 100, 150])
-        config = QueryConfig(k=5)
+    def open_engine(verify):
+        return QueryEngine(SegmentedStore.open(segment_dir, verify=verify))
+
+    def run_queries(verify):
+        engine = open_engine(verify)
         try:
+            queries = engine.store.decode(meters=[0, 50, 100, 150])
             return engine.knn(queries, config)
         finally:
             engine.close()
@@ -175,27 +199,43 @@ def test_query_throughput_with_checksums(benchmark, segment_dir, results_dir):
     result = benchmark(run_queries, "eager")
     assert len(result.ids) == 4
 
-    # The ratio gate uses best-of-alternating timings, not means: min is
-    # robust to scheduler noise on shared runners, and alternating the two
-    # modes exposes both to the same cache/contention conditions.
-    baseline, verified = float("inf"), float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        run_queries("off")
-        baseline = min(baseline, time.perf_counter() - start)
-        start = time.perf_counter()
-        run_queries("eager")
-        verified = min(verified, time.perf_counter() - start)
-    ratio = verified / baseline
+    engines = {verify: open_engine(verify) for verify in ("off", "lazy")}
+    try:
+        queries = engines["off"].store.decode(meters=[0, 50, 100, 150])
+        counter = "store.checksum_verifies_total"
+        before = registry().counter_value(counter)
+        warm = {v: engine.knn(queries, config) for v, engine in engines.items()}
+        first_touch = registry().counter_value(counter) - before
+        steady, _ = _median_ratio(
+            lambda: engines["off"].knn(queries, config),
+            lambda: engines["lazy"].knn(queries, config),
+        )
+        before = registry().counter_value(counter)
+        again = engines["lazy"].knn(queries, config)
+        steady_verifies = registry().counter_value(counter) - before
+    finally:
+        for engine in engines.values():
+            engine.close()
+    eager, eager_s = _median_ratio(
+        lambda: run_queries("off"), lambda: run_queries("eager")
+    )
     benchmark.extra_info.update({
-        "queries_per_s": 4.0 / verified,
-        "verified_over_unverified": ratio,
+        "queries_per_s": 4.0 / eager_s,
+        "verified_over_unverified": eager,
+        "steady_verified_over_unverified": steady,
     })
     write_result(
         results_dir, "segment_query_overhead",
-        f"unverified knn batch:  {baseline * 1e3:.2f} ms\n"
-        f"verified knn batch:    {verified * 1e3:.2f} ms\n"
-        f"checksum tax:          {100.0 * (ratio - 1.0):+.1f}%",
+        f"steady-state checksum tax:  {100.0 * (steady - 1.0):+.1f}%\n"
+        f"eager-open checksum tax:    {100.0 * (eager - 1.0):+.1f}%\n"
+        f"eager-open knn batch:       {eager_s * 1e3:.2f} ms",
     )
+    # Both engines answer alike; the first lazy batch verified what it read
+    # and every later one is served from the verified-column cache.
+    assert np.array_equal(warm["off"].positions, warm["lazy"].positions)
+    assert np.array_equal(again.positions, warm["lazy"].positions)
+    assert first_touch > 0
+    assert steady_verifies == 0
     # Acceptance: checksum verification costs < 10% of query throughput.
-    assert ratio < 1.10
+    assert steady < 1.10
+    assert eager < 1.10

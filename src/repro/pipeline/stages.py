@@ -302,23 +302,30 @@ class RLERuns(NamedTuple):
                 f"expected a 2-D index matrix, got shape {matrix.shape}"
             )
         n_rows, n_cols = matrix.shape
-        flat = matrix.ravel()
-        if flat.size == 0:
-            return cls(
-                values=np.empty(0, dtype=np.int64),
-                run_lengths=np.empty(0, dtype=np.int64),
-                offsets=np.zeros(n_rows + 1, dtype=np.int64),
-            )
-        change = np.empty(flat.size, dtype=bool)
-        change[0] = True
+        return cls.from_flat(
+            matrix.ravel(), np.arange(n_rows + 1, dtype=np.int64) * n_cols
+        )
+
+    @classmethod
+    def from_flat(cls, symbols: np.ndarray, offsets: np.ndarray) -> "RLERuns":
+        """Run-length encode rows laid end to end in one flat symbol array.
+
+        Row ``i`` is ``symbols[offsets[i]:offsets[i + 1]]``; rows may have
+        any lengths, zero included.  A run boundary is any element that
+        differs from its predecessor *or* starts a row.  Symbols are
+        compared in their own integer dtype; ``values`` come back ``int64``.
+        """
+        flat = np.asarray(symbols).reshape(-1)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        change = np.ones(flat.size, dtype=bool)
         np.not_equal(flat[1:], flat[:-1], out=change[1:])
-        change[::n_cols] = True
+        row_starts = offsets[:-1]
+        change[row_starts[row_starts < flat.size]] = True
         run_starts = np.flatnonzero(change)
-        row_starts = np.arange(0, flat.size + 1, n_cols, dtype=np.int64)
         return cls(
-            values=flat[run_starts],
+            values=flat[run_starts].astype(np.int64, copy=False),
             run_lengths=np.diff(np.append(run_starts, flat.size)),
-            offsets=np.searchsorted(run_starts, row_starts).astype(np.int64),
+            offsets=np.searchsorted(run_starts, offsets).astype(np.int64),
         )
 
     @classmethod

@@ -386,12 +386,11 @@ class QueryEngine:
         pattern: Union[str, SymbolPattern],
         meters: Optional[Sequence] = None,
         workers: int = 1,
-        use_index: bool = True,
         deadline: Optional[Deadline] = None,
     ) -> PatternMatches:
         """Match a symbol pattern against columns at run granularity.
 
-        The histogram pruning stage (when an index is available) skips
+        The histogram pruning stage (whenever an index is attached) skips
         columns that lack the pattern's symbols before touching payload
         bytes; matching itself runs on RLE run arrays without expansion.
         """
@@ -400,7 +399,7 @@ class QueryEngine:
         needed = pattern.min_symbol_counts(self.store.alphabet_size)
         columns = self.store._resolve_meters(meters)
         stages = []
-        if use_index and self._index is not None:
+        if self._index is not None:
             self._index.check_store(self.store)
             stages.append(SymbolCountPrune(needed=needed, index=self._index))
         plan = ScanPlan(

@@ -7,7 +7,7 @@ aggregates) — is expressed as one *operator* over one *source*:
 :class:`ColumnSource`
     One read abstraction over ``.rsym`` files and ``.rsyms`` segment
     directories (dense and RLE, per-segment table epochs): block-granular
-    ``matrix``/``runs`` reads, index-backed column statistics with a
+    ``matrix``/``run_blocks`` reads, index-backed column statistics with a
     fleet-level cache, and a :class:`SourceStats` decode counter that makes
     "this operator never touched payload bytes" a testable claim.
 
@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.lookup import LookupTable
 from ..errors import QueryError
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
+from ..pipeline.stages import RLERuns
 from .distance import banded_min_cells, histogram_bound
 from .index import DEFAULT_BANDS, QueryIndex, _shard_stats
 from .patterns import PatternMatches, SymbolPattern, match_runs
@@ -217,12 +218,26 @@ class ColumnSource:
         self._m_bytes.inc(int(result.nbytes))
         return result
 
+    def run_blocks(
+        self, columns: Sequence[int]
+    ) -> Iterator[Tuple[Sequence[int], RLERuns]]:
+        """``(block, runs)`` over the column positions ``columns`` (counted).
+
+        One :meth:`SymbolStore.run_blocks` read per block: ``runs_read``
+        grows by the block's column count, as it would for that many
+        one-column reads.
+        """
+        for block, runs in self.store.run_blocks(columns):
+            with self._lock:
+                self.stats.runs_read += len(block)
+            self._m_runs.inc(len(block))
+            self._m_blocks.inc()
+            yield block, runs
+
     def runs(self, meter) -> tuple:
-        """``(run_values, run_lengths)`` of one column (counted)."""
-        with self._lock:
-            self.stats.runs_read += 1
-        self._m_runs.inc()
-        return self.store.runs(meter)
+        """``(run_values, run_lengths)`` of one column: a one-column block."""
+        ((_, runs),) = self.run_blocks([self.store._column(meter)])
+        return runs.values, runs.run_lengths
 
     def _scan_stats(self, start: int, stop: int, n_bands: int) -> tuple:
         """Banded histogram scan of ``[start, stop)`` — a payload read."""
@@ -282,8 +297,7 @@ class ColumnSource:
         """Run counts for ``columns`` (default: whole fleet, cached).
 
         RLE columns read counts off the header; dense columns pay one
-        run-length scan (block-decoded for the whole fleet, per column for
-        subsets) — the same work the pre-plan aggregate paths did.
+        run-length scan, block-decoded for the whole fleet and for subsets.
         """
         store = self.store
         if columns is None:
@@ -302,9 +316,9 @@ class ColumnSource:
             return np.asarray(store.run_counts, dtype=np.int64)[
                 np.asarray(cols, dtype=np.int64)
             ]
-        return np.asarray(
-            [self.runs(store.ids[c])[0].size for c in cols], dtype=np.int64
-        )
+        return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            runs.run_counts() for _, runs in self.run_blocks(cols)
+        ])
 
     def __repr__(self) -> str:
         indexed = "indexed" if self.index is not None else "no index"
@@ -587,8 +601,11 @@ class KNNOperator(Operator):
 class MatchOperator(Operator):
     """Run-level pattern matching over the column axis.
 
-    Carries the parsed token tuple (not the pattern text): programmatically
-    built :class:`SymbolPattern` objects carry no text, and re-parsing
+    Runs are read one column block per segment and merged across segment
+    boundaries (:meth:`ColumnSource.run_blocks`); :func:`match_runs` then
+    scans each column's slice of the flat arrays.  Carries the parsed token
+    tuple (not the pattern text): programmatically built
+    :class:`SymbolPattern` objects carry no text, and re-parsing
     worker-side would make the result depend on the worker count.
     """
 
@@ -600,13 +617,16 @@ class MatchOperator(Operator):
         spans: Dict = {}
         runs_scanned = 0
         cols = [int(c) for c in items]
-        for column in cols:
-            column_id = source.ids[column]
-            values, lengths = source.runs(column_id)
-            runs_scanned += int(values.size)
-            found = match_runs(values, lengths, pattern)
-            if found:
-                spans[column_id] = found
+        for block, runs in source.run_blocks(cols):
+            runs_scanned += runs.n_runs
+            bounds = runs.offsets.tolist()
+            for row, column in enumerate(block):
+                lo, hi = bounds[row], bounds[row + 1]
+                found = match_runs(
+                    runs.values[lo:hi], runs.run_lengths[lo:hi], pattern
+                )
+                if found:
+                    spans[source.ids[column]] = found
         return spans, runs_scanned, len(cols)
 
     def merge(self, parts, source, items, kept) -> PatternMatches:
@@ -639,8 +659,7 @@ class AggregateOperator(Operator):
 
     def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
         cols = [int(c) for c in items]
-        whole_fleet = len(cols) == source.n_columns
-        subset = None if whole_fleet else cols
+        subset = None if cols == list(range(source.n_columns)) else cols
         hist, peaks = source.column_stats(subset, index=self.index)
         run_count = source.run_counts(subset)
         return hist, peaks, run_count
@@ -753,48 +772,41 @@ class AnomalyReport:
         ]
 
 
-def _transition_counts(values: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
-    """``(k*k,)`` transition counts of one column, straight off its runs.
-
-    A run of length ``L`` contributes ``L - 1`` self-transitions; each run
-    boundary contributes one cross-transition — so the counts are exactly
-    those of the expanded symbol sequence, at run-level cost.
-    """
-    counts = np.zeros(k * k, dtype=np.int64)
-    if values.size == 0:
-        return counts
-    values = np.asarray(values, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    self_loops = np.bincount(
-        values * k + values, weights=(lengths - 1).astype(np.float64),
-        minlength=k * k,
-    ).astype(np.int64)
-    counts += self_loops
-    if values.size > 1:
-        counts += np.bincount(
-            values[:-1] * k + values[1:], minlength=k * k
-        )
-    return counts
-
-
 @dataclass(frozen=True)
 class AnomalyOperator(Operator):
     """Fleet-relative anomaly scores over the column axis.
 
-    Shards return exact per-meter transition-count matrices read off the RLE
-    runs (no window expansion); ``merge`` pools them into the fleet model
+    Shards return exact per-meter transition-count matrices read off the
+    runs (no window expansion), one column block per segment merged across
+    segment boundaries (:meth:`ColumnSource.run_blocks`).  A run of length
+    ``L`` contributes ``L - 1`` self-transitions and each run after a
+    column's first one cross-transition, so one self-loop ``bincount`` and
+    one cross-run ``bincount`` per block give exactly the counts of the
+    expanded symbol sequences.  ``merge`` pools them into the fleet model
     and scores every meter against it — integer counts merged in task order,
     so scores are bit-identical for every worker count.
     """
 
     def run_shard(self, source: ColumnSource, items: Sequence) -> np.ndarray:
         k = source.alphabet_size
-        cols = [int(c) for c in items]
-        counts = np.zeros((len(cols), k * k), dtype=np.int64)
-        for row, column in enumerate(cols):
-            values, lengths = source.runs(source.ids[column])
-            counts[row] = _transition_counts(values, lengths, k)
-        return counts
+        cells = k * k
+        parts = [np.zeros((0, cells), dtype=np.int64)]
+        for _, runs in source.run_blocks([int(c) for c in items]):
+            bins = runs.n_rows * cells
+            row = np.repeat(np.arange(runs.n_rows) * cells, runs.run_counts())
+            counts = np.bincount(
+                row + runs.values * (k + 1), weights=runs.run_lengths - 1,
+                minlength=bins,
+            ).astype(np.int64)
+            first = np.zeros(runs.n_runs + 1, dtype=bool)
+            first[runs.offsets] = True
+            cross = np.flatnonzero(~first[:-1])
+            counts += np.bincount(
+                row[cross] + runs.values[cross - 1] * k + runs.values[cross],
+                minlength=bins,
+            )
+            parts.append(counts.reshape(runs.n_rows, cells))
+        return np.vstack(parts)
 
     def merge(self, parts, source, items, kept) -> AnomalyReport:
         k = source.alphabet_size
@@ -879,7 +891,7 @@ class DriftOperator(Operator):
         threads make through the same source never land in this report.
         """
         cols = [int(c) for c in items]
-        subset = None if len(cols) == source.n_columns else cols
+        subset = None if cols == list(range(source.n_columns)) else cols
         with source._lock:
             before = source.stats.columns_decoded
             hist, _ = source.column_stats(subset, index=self.index)

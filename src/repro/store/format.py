@@ -74,6 +74,8 @@ from .packing import (
     pack_indices,
     packed_nbytes,
     slice_byte_window,
+    symbol_dtype,
+    unpack_columns,
     unpack_indices,
     unpack_slice,
 )
@@ -691,20 +693,6 @@ class _Segment:
         """The single global table, if this segment has one."""
         return self._tables if isinstance(self._tables, LookupTable) else None
 
-    # -- reading -----------------------------------------------------------------
-
-    def _column_bytes(self, index: int) -> np.ndarray:
-        if self._verify_mode != "off" and not self._verified[index]:
-            self._verify_columns([index])
-        start = int(self.offsets[index])
-        if self.layout == DENSE:
-            stop = start + packed_nbytes(int(self.counts[index]), self.bits_per_symbol)
-        else:
-            stop = start + packed_nbytes(
-                int(self.run_counts[index]), self.bits_per_symbol
-            )
-        return self._payload[start:stop]
-
     # -- checksum verification ---------------------------------------------------
 
     @property
@@ -838,69 +826,52 @@ class _Segment:
             raise errors[0]
         return report
 
-    def indices(self, column: int, start: int, stop: int) -> np.ndarray:
-        """Symbol indices ``[start, stop)`` of one column (lazy for dense)."""
-        if self.layout == DENSE:
-            return unpack_slice(
-                self._column_bytes(column), self.bits_per_symbol, start, stop
-            )
-        return self._expand_rle(column)[start:stop]
+    # -- reading -----------------------------------------------------------------
 
-    def _expand_rle(self, column: int) -> np.ndarray:
-        values, lengths = self.runs(column)
-        return np.repeat(values, lengths)
+    def runs_block(self, columns: Sequence[int]) -> RLERuns:
+        """Runs of the column positions ``columns``, in order, as one flat block.
 
-    def runs(self, column: int) -> tuple:
-        """``(run_values, run_lengths)`` of one column, without expansion.
-
-        RLE columns return their stored runs directly — the pattern-matching
-        and aggregation pushdown operate on these arrays instead of the
-        expanded windows.  Dense columns are unpacked and run-length encoded
-        on the fly, so both layouts serve the same run-level interface.
+        RLE columns hand out their stored runs: one :func:`unpack_columns`
+        decode of the block's run values and one gather of the length
+        array.  Dense columns decode with one :meth:`matrix` gather and run
+        one :meth:`RLERuns.from_matrix` pass; columns of different lengths
+        (a bare file) decode with one :func:`unpack_columns` call and one
+        :meth:`RLERuns.from_flat` pass instead, since a matrix would pad
+        every column to the longest.  Every read is CRC-verified.
         """
-        if self.layout == RLE:
-            if self._verify_mode != "off":
-                self._verify_lengths()
-            values = unpack_indices(
-                np.ascontiguousarray(self._column_bytes(column)),
-                self.bits_per_symbol,
-                int(self.run_counts[column]),
-            )
-            lo, hi = int(self._run_offsets[column]), int(self._run_offsets[column + 1])
-            return values, self._lengths[lo:hi].astype(np.int64)
-        indices = unpack_slice(
-            self._column_bytes(column), self.bits_per_symbol,
-            0, int(self.counts[column]),
+        cols = np.asarray(columns, dtype=np.int64).reshape(-1)
+        widths = self.counts[cols] if self.layout == DENSE else self.run_counts[cols]
+        if self.layout == DENSE and np.all(widths == widths[:1]):
+            return RLERuns.from_matrix(self.matrix(columns=cols))
+        if self._verify_mode != "off":
+            self._verify_lengths()
+            self._verify_columns(cols)
+        symbols = unpack_columns(
+            self._payload, self.offsets[cols] * 8, widths, self.bits_per_symbol
         )
-        encoded = RLERuns.from_matrix(indices.reshape(1, indices.size))
-        return encoded.values, encoded.run_lengths
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        if self.layout == DENSE:
+            return RLERuns.from_flat(symbols, offsets)
+        at = np.repeat(self._run_offsets[cols] - offsets[:-1], widths)
+        at += np.arange(offsets[-1], dtype=np.int64)
+        lengths = self._lengths[at].astype(np.int64)
+        return RLERuns(symbols.astype(np.int64), lengths, offsets)
 
-    #: Columns per block when a dense segment computes run counts — bounds
-    #: the decoded matrix to one block, keeping the read path out-of-core.
+    #: Most columns one run or verify pass decodes at once — bounds memory
+    #: to one block, keeping the read path out-of-core.
     _RUN_SCAN_BLOCK = 4096
 
     def run_count_per_column(self) -> np.ndarray:
         """Number of RLE runs in every column (computed for dense segments).
 
-        RLE segments read this off the header; dense segments pay one
-        vectorized pass over the unpacked symbols, decoded in bounded column
-        blocks so memory never holds more than one block regardless of
-        fleet size.
+        RLE segments read this off the header; dense segments run one
+        :meth:`runs_block` per block of at most ``_RUN_SCAN_BLOCK`` columns.
         """
         if self.layout == RLE:
             return self.run_counts.copy()
-        if self.n_meters == 0:
-            return np.zeros(0, dtype=np.int64)
-        if np.all(self.counts == self.counts[0]):
-            blocks = []
-            for start in range(0, self.n_meters, self._RUN_SCAN_BLOCK):
-                stop = min(start + self._RUN_SCAN_BLOCK, self.n_meters)
-                block = self.matrix(columns=np.arange(start, stop))
-                blocks.append(RLERuns.from_matrix(block).run_counts())
-            return np.concatenate(blocks)
-        return np.asarray(
-            [self.runs(c)[0].size for c in range(self.n_meters)], dtype=np.int64
-        )
+        n_blocks = max(1, -(-self.n_meters // self._RUN_SCAN_BLOCK))
+        blocks = np.array_split(np.arange(self.n_meters), n_blocks)
+        return np.concatenate([self.runs_block(block).run_counts() for block in blocks])
 
     def matrix(
         self,
@@ -915,9 +886,8 @@ class _Segment:
         if not cols.size:
             return np.empty((0, 0), dtype=np.int64)
         if self._verify_mode != "off":
-            # One batched CRC pass up front; the per-column check in
-            # _column_bytes then hits the verified cache.  Required here
-            # because the two fast paths below read the mmap directly.
+            # One batched CRC pass up front: every path below reads the
+            # mmap directly.
             self._verify_columns(cols)
         counts = self.counts[cols]
         if np.any(counts != counts[0]):
@@ -953,7 +923,17 @@ class _Segment:
             return unpack_slice(
                 window, self.bits_per_symbol, lead, lead + stop - start
             )
-        return np.vstack([self.indices(int(c), start, stop) for c in cols])
+        if self.layout == RLE:
+            runs = self.runs_block(cols)
+            narrow = runs.values.astype(symbol_dtype(self.bits_per_symbol))
+            expanded = np.repeat(narrow, runs.run_lengths)
+            return expanded.reshape(cols.size, width)[:, start:stop]
+        bits = self.bits_per_symbol
+        symbols = unpack_columns(
+            self._payload, self.offsets[cols] * 8 + start * bits,
+            np.full(cols.size, stop - start), bits,
+        )
+        return symbols.reshape(cols.size, stop - start)
 
     def decode(
         self,

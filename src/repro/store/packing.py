@@ -20,6 +20,10 @@ share one dispatch, picked by bit width:
     ``np.unpackbits`` followed by one matrix product against the bit
     weights; wide alphabets are not a compression format's hot path.
 
+Columns of *different* lengths — a block of RLE run-value columns —
+decode together through :func:`unpack_columns`, which reads every symbol
+at its absolute bit position in one gather.
+
 Decoded symbols come back **dtype-narrowed**: ``uint8`` for widths through
 8 bits, ``uint16`` through 16, ``int64`` beyond (see :func:`symbol_dtype`).
 A refinement pass over a 4-bit store therefore materialises one byte per
@@ -51,6 +55,7 @@ __all__ = [
     "symbol_dtype",
     "slice_byte_window",
     "pack_indices",
+    "unpack_columns",
     "unpack_indices",
     "unpack_slice",
 ]
@@ -347,6 +352,40 @@ def unpack_indices(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
         shape = (0,) if packed.ndim == 1 else (packed.shape[0], 0)
         return np.zeros(shape, dtype=symbol_dtype(bits))
     return _decode_window(packed, bits, count)
+
+
+def unpack_columns(
+    packed: np.ndarray, bit_starts: np.ndarray, counts: np.ndarray, bits: int
+) -> np.ndarray:
+    """Concatenated symbols of many packed columns of different lengths.
+
+    Column ``i`` is ``counts[i]`` symbols read from bit ``bit_starts[i]`` of
+    the flat byte stream ``packed``, in any order — a column's first byte
+    times 8, plus ``start * bits`` to read only a window from ``start``.
+    Each symbol is read at its absolute bit position: one gather of the
+    ``(bits + 14) // 8`` bytes it can straddle, one shift and one mask, for
+    every width and every column at once.  Output dtype is
+    :func:`symbol_dtype`.
+    """
+    bits = _check_bits(bits)
+    bit_starts = np.asarray(bit_starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    packed = np.asarray(packed, dtype=np.uint8)
+    if counts.size and int(np.max(bit_starts + counts * bits)) > packed.size * 8:
+        raise StoreError(
+            f"packed columns read past the {packed.size}-byte stream"
+        )
+    total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    position = np.repeat(bit_starts - first * bits, counts)
+    position += np.arange(total, dtype=np.int64) * bits
+    byte = position >> 3
+    word = np.zeros(total, dtype=np.uint64)
+    for step in range((bits + 14) // 8):
+        word <<= np.uint64(8)
+        word |= packed[np.minimum(byte + step, packed.size - 1)]
+    shift = ((bits + 14) // 8 * 8 - bits - (position & 7)).astype(np.uint64)
+    return ((word >> shift) & np.uint64((1 << bits) - 1)).astype(symbol_dtype(bits))
 
 
 def unpack_slice(packed: np.ndarray, bits: int, start: int, stop: int) -> np.ndarray:

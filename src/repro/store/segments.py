@@ -55,13 +55,14 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.lookup import LookupTable
 from ..errors import CorruptStoreError, StoreError, StoreIntegrityWarning
 from ..obs import registry as _obs_registry
+from ..pipeline.stages import RLERuns
 from . import faults
 from .checksum import crc32c, crc32c_hex
 from .format import DENSE, RLE, _Segment, _window_bounds
@@ -566,7 +567,7 @@ class SymbolStore:
         column = self._column(meter)
         start, stop = _window_bounds(int(self.counts[column]), (start, stop))
         parts = [
-            segment.indices(column, lo, hi)
+            segment.matrix([column], (lo, hi))[0]
             for segment, lo, hi in self._spans(start, stop, column)
         ]
         if not parts:
@@ -603,31 +604,34 @@ class SymbolStore:
         return self._read(columns, window_range, _Segment.matrix, np.int64)
 
     def runs(self, meter) -> tuple:
-        """``(run_values, run_lengths)`` with boundary runs merged.
+        """``(run_values, run_lengths)`` of one column: a one-column :meth:`runs_block`."""
+        runs = self.runs_block([self._column(meter)])
+        return runs.values, runs.run_lengths
 
-        A run that spans a segment boundary (same symbol on both sides) is
-        one logical run; merging here keeps run-level pattern matching
-        oblivious to where appends happened.
+    def runs_block(self, columns: Sequence[int]) -> RLERuns:
+        """Runs of the column positions ``columns``, in order, as one flat block.
+
+        Each segment reads the block once.  A bare file or a one-segment
+        store hands out its segment's runs; a many-segment store decodes
+        the block into one wide matrix, whose :meth:`RLERuns.from_matrix`
+        pass makes a run that continues across a segment boundary one
+        logical run.
         """
-        column = self._column(meter)
-        value_parts: List[np.ndarray] = []
-        length_parts: List[np.ndarray] = []
-        for segment in self._segments:
-            values, lengths = segment.runs(column)
-            if values.size == 0:
-                continue
-            if value_parts and value_parts[-1].size and int(
-                value_parts[-1][-1]
-            ) == int(values[0]):
-                lengths = np.asarray(lengths, dtype=np.int64).copy()
-                lengths[0] += int(length_parts[-1][-1])
-                value_parts[-1] = value_parts[-1][:-1]
-                length_parts[-1] = length_parts[-1][:-1]
-            value_parts.append(np.asarray(values, dtype=np.int64))
-            length_parts.append(np.asarray(lengths, dtype=np.int64))
-        if not value_parts:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        return np.concatenate(value_parts), np.concatenate(length_parts)
+        cols = np.asarray(columns, dtype=np.int64).reshape(-1)
+        if len(self._segments) != 1:
+            return RLERuns.from_matrix(self._read(cols, None, _Segment.matrix, np.int64))
+        return self._segments[0].runs_block(cols)
+
+    def run_blocks(
+        self, columns: Sequence[int]
+    ) -> Iterator[Tuple[Sequence[int], RLERuns]]:
+        """``(block, runs_block(block))`` over ``columns`` in blocks of at
+        most ``_Segment._RUN_SCAN_BLOCK`` column positions, so memory holds
+        one block, never the whole request."""
+        step = _Segment._RUN_SCAN_BLOCK
+        for start in range(0, len(columns), step):
+            block = columns[start: start + step]
+            yield block, self.runs_block(block)
 
     @property
     def run_counts(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from repro.store import (
     unpack_indices,
     unpack_slice,
 )
+from repro.store.packing import unpack_columns
 
 #: Alphabet sizes from the issue spec: powers of two the paper uses, plus
 #: awkward non-powers whose top code does not fill the bit width.
@@ -193,6 +194,40 @@ def test_roundtrip_property(bits, data):
         )
 
 
+@given(
+    bits=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 25, 32]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_unpack_columns_property(bits, data):
+    """Columns of any lengths, packed back to back on byte boundaries,
+    decode in any order (repeats included) to their concatenated symbols,
+    each from any window ``[lo, hi)`` of the column."""
+    lengths = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = [rng.integers(0, 1 << bits, size=n, dtype=np.int64) for n in lengths]
+    payloads = [pack_indices(column, bits).tobytes() for column in columns]
+    starts = np.cumsum([0] + [len(p) for p in payloads[:-1]])
+    packed = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    order = data.draw(st.lists(st.integers(0, len(columns) - 1), max_size=8))
+    windows = []
+    for i in order:
+        lo = data.draw(st.integers(0, lengths[i]))
+        windows.append((lo, data.draw(st.integers(lo, lengths[i]))))
+    decoded = unpack_columns(
+        packed,
+        np.asarray([starts[i] * 8 + lo * bits for i, (lo, _) in zip(order, windows)]),
+        np.asarray([hi - lo for lo, hi in windows], dtype=np.int64),
+        bits,
+    )
+    expected = np.concatenate(
+        [np.zeros(0, np.int64)]
+        + [columns[i][lo:hi] for i, (lo, hi) in zip(order, windows)]
+    )
+    assert decoded.dtype == symbol_dtype(bits)
+    np.testing.assert_array_equal(decoded.astype(np.int64), expected)
+
+
 class TestSymbolDtype:
     def test_narrow_widths(self):
         for bits in range(1, 9):
@@ -229,6 +264,13 @@ class TestValidation:
         packed = pack_indices(np.arange(8), bits=3)
         with pytest.raises(StoreError):
             unpack_indices(packed[:-1], bits=3, count=8)
+
+    def test_columns_past_end_rejected(self):
+        packed = pack_indices(np.arange(8), bits=3)
+        with pytest.raises(StoreError):
+            unpack_columns(packed, np.array([0]), np.array([9]), bits=3)
+        with pytest.raises(StoreError):
+            unpack_columns(packed, np.array([3]), np.array([8]), bits=3)
 
     def test_slice_past_end_rejected(self):
         packed = pack_indices(np.arange(8), bits=3)
