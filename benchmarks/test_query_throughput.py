@@ -12,6 +12,11 @@ The assertions double as acceptance checks: pruned kNN must return
 bit-identical neighbour sets to brute force while decoding **< 25 %** of
 candidate columns per query on this benchmark fleet, and pattern matching
 must scan fewer elements than the expanded windows.
+
+The segmented entry runs one-vector kNN scans over the same fleet stored
+as 168 hourly segments, as an hourly append feed leaves it: a query block
+reads the store at most twice, each read one decode across the segments,
+so its cost must not grow with refine rounds x segments.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro.obs import disable_tracing, enable_tracing, set_metrics_enabled, tracer
-from repro.query import QueryConfig, QueryEngine, build_query_index
-from repro.store import write_fleet_store
+from repro.query import QueryConfig, QueryEngine, build_query_index, write_query_index
+from repro.store import write_fleet_store, write_segmented_fleet
 
 
 def measure_obs_overhead(run_batch, pairs: int = 7) -> float:
@@ -65,20 +70,39 @@ WINDOWS = 672
 ALPHABET = 16
 N_QUERIES = 64
 K = 5
+SEGMENTS = 168          # hourly segments: one week at 15-minute windows
+SINGLE_QUERIES = 16     # one-vector requests per segmented-kNN round
+SCAN_CHUNK = 4          # candidates per refine round of the segmented scan
 
 
-@pytest.fixture(scope="module")
-def query_store(tmp_path_factory):
+def _fleet_values() -> np.ndarray:
     rng = np.random.default_rng(42)
     levels = np.exp(rng.normal(5.5, 1.2, size=N_METERS))[:, None]
     day = 1.0 + 0.6 * np.sin(np.linspace(0, 7 * 2 * np.pi, WINDOWS))[None, :]
     noise = rng.normal(0, 0.08, size=(N_METERS, WINDOWS))
-    values = np.abs(levels * day + noise * levels)
+    return np.abs(levels * day + noise * levels)
+
+
+@pytest.fixture(scope="module")
+def query_store(tmp_path_factory):
     path = tmp_path_factory.mktemp("bench_query") / "fleet.rsym"
     return write_fleet_store(
-        path, values, alphabet_size=ALPHABET, method="median", window=1,
+        path, _fleet_values(), alphabet_size=ALPHABET, method="median", window=1,
         shared_table=True, sampling_interval=900.0, query_index=True,
     )
+
+
+@pytest.fixture(scope="module")
+def segmented_query_store(tmp_path_factory):
+    """The benchmark fleet as ``SEGMENTS`` hourly segments, with its index."""
+    path = tmp_path_factory.mktemp("bench_query_seg") / "fleet.rsyms"
+    store = write_segmented_fleet(
+        path, _fleet_values(), alphabet_size=ALPHABET, method="median",
+        segment_windows=WINDOWS // SEGMENTS, sampling_interval=900.0,
+    )
+    write_query_index(store)
+    store.close()
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +151,36 @@ def test_knn_brute_force_throughput(benchmark, query_store, query_batch):
     benchmark.extra_info["n_queries"] = N_QUERIES
     benchmark.extra_info["queries_per_s"] = N_QUERIES / mean
     benchmark.extra_info["decoded_fraction"] = 1.0
+
+
+def test_segmented_knn_throughput(benchmark, segmented_query_store, query_batch):
+    """One-vector kNN scans over 168 hourly segments.
+
+    Without the bound every candidate is refined, ``SCAN_CHUNK`` a round
+    (48 rounds): a query block that read the store once a round would make
+    48 x 168 segment reads per query instead of at most 2 x 168.
+    """
+    engine = QueryEngine.open(segmented_query_store)
+    config = QueryConfig(k=K, use_index=False, refine_chunk=SCAN_CHUNK)
+    singles = query_batch[:SINGLE_QUERIES]
+
+    def one_at_a_time():
+        return [engine.knn(vector, config) for vector in singles]
+
+    results = benchmark(one_at_a_time)
+    brute = engine.brute_force_knn(singles, k=K)
+    assert engine.store.n_segments == SEGMENTS
+    np.testing.assert_array_equal(
+        np.vstack([r.positions for r in results]), brute.positions
+    )
+    np.testing.assert_array_equal(
+        np.vstack([r.distances for r in results]), brute.distances
+    )
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info["n_queries"] = SINGLE_QUERIES
+    benchmark.extra_info["segments"] = SEGMENTS
+    benchmark.extra_info["queries_per_s"] = SINGLE_QUERIES / mean
+    engine.close()
 
 
 def test_pattern_match_throughput(benchmark, query_store):

@@ -11,12 +11,15 @@ kNN search is *exact* — results are bit-identical to brute force, pinned by
    symbol ``s`` contributes at least ``min_t bound(q_t, s)^2``.  No payload
    bytes are read.
 2. **Refine tier** — candidates are visited in lower-bound order in small
-   chunks; each chunk's columns are lazily unpacked and their exact
-   distances (query vs. decoded reconstruction values) computed with one
-   gather.  The scan stops when the best unseen lower bound exceeds the
-   current k-th distance — with a one-sided ``1 + 1e-9`` safety margin so
-   float rounding in the bound can only cause extra refinement, never a
-   missed neighbour.
+   rounds, their exact distances (query vs. decoded reconstruction values)
+   computed with one gather a round.  The scan stops when the best unseen
+   lower bound exceeds the current k-th distance — with a one-sided
+   ``1 + 1e-9`` safety margin so float rounding in the bound can only
+   cause extra refinement, never a missed neighbour.  Columns are decoded
+   ahead of the rounds: a block of queries reads the store at most twice,
+   once for the rounds that find each query's first k-th distance and once
+   for every candidate a later round can still refine (the k-th distance
+   only shrinks), and each read decodes once across the store's segments.
 
 Distances are Euclidean between the raw query vector and each column's
 *reconstruction* (what ``SymbolStore.decode`` returns) — the only real-valued
@@ -351,8 +354,8 @@ class QueryEngine:
             raise QueryError(
                 f"query length {arr.shape[1]} != column length {int(counts[0])}"
             )
-        if np.any(np.isnan(arr)):
-            raise QueryError("queries must not contain NaN")
+        if not np.all(np.isfinite(arr)):
+            raise QueryError("queries must be finite: no NaN or ±inf values")
         return arr
 
     def _exclude_positions(self, exclude_ids: Sequence) -> np.ndarray:

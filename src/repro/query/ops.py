@@ -41,6 +41,7 @@ from ..core.lookup import LookupTable
 from ..errors import QueryError
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
 from ..pipeline.stages import RLERuns
+from ..store.packing import symbol_dtype
 from .distance import banded_min_cells, histogram_bound
 from .index import DEFAULT_BANDS, QueryIndex, _shard_stats
 from .patterns import PatternMatches, SymbolPattern, match_runs
@@ -401,10 +402,14 @@ def _knn_block(
     Queries are processed ``_QUERY_BLOCK`` at a time: the squared cells of
     the whole sub-block are built with one broadcast, their lower bounds
     with one :func:`banded_min_cells` + :func:`histogram_bound` matmul, and
-    each refine round decodes its chunk's missing columns with a single
-    ``source.matrix`` call.  Neighbours and distances are bit-identical for
-    every block split — the bound's last-ulp rounding can only move work
-    between the pruned and refined sets, never change an exact distance.
+    the block reads the store at most twice — once for the rounds that
+    find each query's first k-th distance, once for every candidate a
+    later round can still refine — each read one ``source.matrix`` call
+    that decodes once across the store's segments.  Refine rounds then
+    score columns already held.  Neighbours and distances are
+    bit-identical for every block split — the bound's last-ulp rounding
+    can only move work between the pruned and refined sets, never change
+    an exact distance.
     """
     # Local import: plan.py imports operators from this module, so the
     # deadline hook cannot live at module scope without a cycle.
@@ -437,22 +442,23 @@ def _knn_block(
     rounds_total = 0
     C = candidates.size
     # Decoded candidate rows, by candidate rank, shared by every query of
-    # the batch.  ``np.empty`` commits pages lazily, so untouched (pruned)
-    # rows cost no physical memory; ``intp`` rows gather without a per-round
-    # cast of the store's narrowed decode dtype.
-    decoded = np.empty((C, T), dtype=np.intp)
+    # the batch, in the store's narrow symbol dtype (one byte per symbol up
+    # to 8 bits; the flat-index add below promotes to ``intp``).
+    # ``np.empty`` commits pages lazily, so untouched (pruned) rows cost no
+    # physical memory.
+    decoded = np.empty((C, T), dtype=symbol_dtype(store.bits_per_symbol))
     have = np.zeros(C, dtype=bool)
     t_base = np.arange(T, dtype=np.intp) * recon.size
 
-    def decoded_rows(ranks: np.ndarray) -> np.ndarray:
-        """``(len(ranks), T)`` symbol rows; missing columns in one read."""
-        missing = np.unique(ranks[~have[ranks]])
+    def fill(ranks: np.ndarray) -> None:
+        """Decode the candidates among ``ranks`` not held yet, in one read."""
+        missing = ranks[~have[ranks]]
         if missing.size:
+            missing = np.unique(missing)
             decoded[missing] = source.matrix(
                 meters=[store.ids[int(candidates[m])] for m in missing]
             )
             have[missing] = True
-        return decoded[ranks]
 
     if index is not None:
         bands = index.bands_for(T)
@@ -484,16 +490,35 @@ def _knn_block(
         kth2 = np.full(n_block, np.inf)
         n_refined = np.zeros(n_block, dtype=np.int64)
         active = np.arange(n_block)
+        # The block reads the store at most twice.  The first read covers
+        # every round before each query has a k-th distance: those rounds
+        # prune nothing.  The second covers every candidate a later round
+        # can still refine (multi-step kNN, Seidl & Kriegel, SIGMOD 1998):
+        # a round at ``at`` runs only while ``lb_sorted[q, at]`` is within
+        # the k-th distance, which only shrinks, so the ranks up to the last
+        # bound within the first k-th distance, rounded up to a round
+        # boundary, hold every column a later round will score.
+        fill(order[:, : min(C, -(-kk // refine_chunk) * refine_chunk)])
+        frontier_read = False
         at = 0
         while active.size and at < C:
             # Refine rounds are the expensive inner loop: even a one-query
             # plan notices expiry between rounds, not only between blocks.
             check_deadline(b0, queries.shape[0])
             if at >= kk:
-                still = lb_sorted[active, at] <= kth2[active] * (1.0 + _PRUNE_SLACK)
-                active = active[still]
+                limit = kth2[active] * (1.0 + _PRUNE_SLACK)
+                still = lb_sorted[active, at] <= limit
+                active, limit = active[still], limit[still]
                 if not active.size:
                     break
+                if not frontier_read:
+                    inside = np.sum(lb_sorted[active] <= limit[:, None], axis=1)
+                    rounds = -(-(inside - at) // refine_chunk)
+                    stop = np.minimum(at + rounds * refine_chunk, C)
+                    fill(order[active, at:][
+                        np.arange(C - at)[None, :] < (stop - at)[:, None]
+                    ])
+                    frontier_read = True
             hi = min(at + refine_chunk, C)
             rounds_total += 1
             ranks = order[active, at:hi]                      # (A, chunk)
@@ -505,10 +530,11 @@ def _knn_block(
             # a few MB instead of scaling with queries * candidates.
             d2 = np.empty(ranks.shape, dtype=np.float64)
             segment = max(1, _GATHER_ELEMENTS // max(1, ranks.shape[1] * T))
+            fill(ranks)                       # a no-op once the frontier is read
             for s0 in range(0, active.size, segment):
                 sub = active[s0: s0 + segment]
                 sub_ranks = ranks[s0: s0 + segment]
-                matrix = decoded_rows(sub_ranks.ravel())
+                matrix = decoded[sub_ranks.ravel()]
                 flat = (
                     sub[:, None, None] * (T * recon.size)
                     + t_base[None, None, :]

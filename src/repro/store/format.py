@@ -59,13 +59,15 @@ import json
 import mmap as _mmap
 import os
 import struct
+from itertools import groupby
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.lookup import LookupTable, deserialize_tables, serialize_tables
 from ..errors import CorruptStoreError, StoreError
+from ..obs import registry as _obs_registry
 from ..pipeline.stages import RLERuns
 from . import faults
 from .checksum import ALGORITHM, crc32c, crc32c_hex, crc32c_rows
@@ -76,7 +78,6 @@ from .packing import (
     slice_byte_window,
     symbol_dtype,
     unpack_columns,
-    unpack_indices,
     unpack_slice,
 )
 
@@ -503,7 +504,9 @@ class _Segment:
     ) -> None:
         self.path = path
         self._header = header
-        self._payload = payload
+        # A plain ndarray view of the map: ``np.memmap``'s Python-level
+        # ``__getitem__`` costs more than a small column gather.
+        self._payload = payload.view(np.ndarray)
         self.layout: str = header["layout"]
         self.alphabet_size: int = int(header["alphabet_size"])
         self.bits_per_symbol: int = int(header["bits_per_symbol"])
@@ -521,7 +524,19 @@ class _Segment:
         self._lengths_crc = checksums.get("lengths")
         self._verify_mode = verify if self._column_crcs is not None else "off"
         self._verified = np.zeros(len(self.ids), dtype=bool)
+        self._all_verified = self._column_crcs is None
         self._lengths_verified = False
+        self._m_reads = None
+        # Dense equal-width columns sit back to back: view them as a grid.
+        self._grid: Optional[np.ndarray] = None
+        n = len(self.ids)
+        row = packed_nbytes(int(self.counts[0]), self.bits_per_symbol) if n else 0
+        if (
+            self.layout == DENSE and n
+            and np.all(self.counts == self.counts[0])
+            and np.array_equal(self.offsets, np.arange(n) * row)
+        ):
+            self._grid = self._payload[: n * row].reshape(n, row)
         if self.layout == RLE:
             self.run_counts = np.asarray(header["run_counts"], dtype=np.int64)
             self._run_offsets = np.concatenate(
@@ -552,8 +567,10 @@ class _Segment:
 
         ``verify`` controls checksum checking on version-2 stores:
         ``"lazy"`` (default) verifies each column's CRC32C on first access,
-        ``"eager"`` verifies everything before returning, ``"off"`` skips
-        payload verification entirely.  The header structure (magics, length,
+        ``"off"`` skips payload verification entirely, and ``"eager"`` reads
+        like ``"lazy"`` here: :meth:`~repro.store.SymbolStore.open` runs the
+        eager pass itself, pooled across every segment it opens
+        (:func:`verify_segments`).  The header structure (magics, length,
         header CRC) is always validated; any failure raises
         :class:`~repro.errors.CorruptStoreError` with structured diagnostics.
         """
@@ -657,14 +674,12 @@ class _Segment:
                 hint="truncated" if actual_payload < expected_payload else "bit-rot",
                 detail={"file_size": size},
             )
-        store = cls(path, header, payload, verify=verify)
-        if verify == "eager":
-            store.verify(strict=True)
-        return store
+        return cls(path, header, payload, verify=verify)
 
     def close(self) -> None:
-        """Drop the payload reference (releases the memory map)."""
+        """Drop the payload references (releases the memory map)."""
         self._payload = np.zeros(0, dtype=np.uint8)
+        self._grid = None
 
     # -- sizes -------------------------------------------------------------------
 
@@ -717,52 +732,19 @@ class _Segment:
     def _verify_columns(self, columns: Sequence[int]) -> None:
         """Check (and cache) the CRC32C of the given columns; raise on damage.
 
-        Equal-width batches run through :func:`crc32c_rows` — one vectorized
-        state-update across all columns at once — so verifying a whole fleet
-        costs a single pass, not ``n_meters`` Python-level CRC loops.  Pending
-        columns are found with one mask lookup, not a Python loop.
+        One mask lookup finds whether any column is still pending, so a read
+        of verified columns pays no checksum work; pending ones go through
+        :func:`_check_columns` in row-batched :func:`crc32c_rows` calls.
         """
-        if self._column_crcs is None:
+        if self._all_verified:
             return
         requested = np.asarray(columns, dtype=np.int64)
-        idx = requested[~self._verified[requested]]
-        if not idx.size:
+        if self._verified[requested].all():
             return
-        from ..obs import registry as _obs_registry
-        _obs_registry().counter(
-            "store.checksum_verifies_total",
-            "Column payload CRC32C verifications",
-        ).inc(int(idx.size))
-        widths = self._column_widths(idx)
-        if idx.size > 1 and np.all(widths == widths[0]) and int(widths[0]) > 0:
-            width = int(widths[0])
-            base = self.offsets[idx]
-            if np.all(np.diff(base) == width):
-                # Adjacent columns (a whole dense segment): a reshape of the
-                # payload, no gather.
-                start = int(base[0])
-                block = self._payload[start: start + idx.size * width].reshape(
-                    idx.size, width
-                )
-            else:
-                block = self._payload[
-                    base[:, None] + np.arange(width, dtype=np.int64)[None, :]
-                ]
-            actual = crc32c_rows(block)
-        else:
-            actual = np.asarray([
-                crc32c(self._payload[start: start + width])
-                for start, width in zip(self.offsets[idx].tolist(), widths.tolist())
-            ], dtype=np.uint32)
-        good = actual.astype(np.int64) == self._column_crcs[idx]
-        self._verified[idx[good]] = True
-        bad = np.nonzero(~good)[0]
-        if bad.size:
-            first = int(bad[0])
-            column = int(idx[first])
-            raise self._corrupt_column(
-                column, int(self._column_crcs[column]), int(actual[first])
-            )
+        bad = _check_columns([(self, requested)])
+        if bad:
+            _, column, actual = bad[0]
+            raise self._corrupt_column(column, int(self._column_crcs[column]), actual)
 
     def _verify_lengths(self) -> None:
         """Check the RLE run-length array's CRC32C (once)."""
@@ -785,46 +767,26 @@ class _Segment:
 
         The report carries ``checksummed`` (version-1 stores have nothing to
         check), ``columns_checked``, ``payload_nbytes`` and ``errors`` (a
-        list of :class:`~repro.errors.CorruptStoreError`).  With ``strict``
-        the first failure raises instead.  Verified columns are cached, so a
-        clean ``verify()`` makes all subsequent reads checksum-free.
+        list of :class:`~repro.errors.CorruptStoreError`, one per damaged
+        column).  With ``strict`` the first failure raises instead.
+        Verified columns are cached, so a clean ``verify()`` makes all
+        subsequent reads checksum-free.
         """
-        report: Dict = {
+        return self._report(verify_segments([self])[0], strict)
+
+    def _report(self, errors: List[CorruptStoreError], strict: bool) -> Dict:
+        """The :meth:`verify` report for this segment's ``errors``."""
+        if strict and errors:
+            raise errors[0]
+        return {
             "path": str(self.path),
             "checksummed": self.checksummed,
             "algorithm": ALGORITHM if self.checksummed else None,
-            "columns_checked": 0,
+            "columns_checked": self.n_meters if self.checksummed else 0,
             "payload_nbytes": self.payload_nbytes,
-            "errors": [],
+            "errors": errors,
+            "ok": not errors,
         }
-        if not self.checksummed:
-            return report
-        errors: List[CorruptStoreError] = []
-        for start in range(0, self.n_meters, self._RUN_SCAN_BLOCK):
-            block = list(range(start, min(start + self._RUN_SCAN_BLOCK, self.n_meters)))
-            try:
-                self._verify_columns(block)
-            except CorruptStoreError:
-                # The batch stops at its first bad column; sweep the block
-                # one by one so the report names every damaged column.
-                for column in block:
-                    if self._verified[column]:
-                        continue
-                    try:
-                        self._verify_columns([column])
-                    except CorruptStoreError as exc:
-                        errors.append(exc)
-        report["columns_checked"] = self.n_meters
-        if self.layout == RLE:
-            try:
-                self._verify_lengths()
-            except CorruptStoreError as exc:
-                errors.append(exc)
-        report["errors"] = errors
-        report["ok"] = not errors
-        if strict and errors:
-            raise errors[0]
-        return report
 
     # -- reading -----------------------------------------------------------------
 
@@ -878,85 +840,89 @@ class _Segment:
         columns: Optional[Sequence[int]] = None,
         window_range: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Index matrix ``(len(columns), windows)`` for equal-length columns."""
+        """Index matrix ``(len(columns), windows)`` for equal-length columns:
+        the one-segment case of :func:`read_spans`."""
         cols = (
             np.arange(self.n_meters, dtype=np.int64) if columns is None
             else np.asarray(columns, dtype=np.int64)
         )
         if not cols.size:
             return np.empty((0, 0), dtype=np.int64)
-        if self._verify_mode != "off":
-            # One batched CRC pass up front: every path below reads the
-            # mmap directly.
-            self._verify_columns(cols)
         counts = self.counts[cols]
         if np.any(counts != counts[0]):
             raise StoreError(
                 "columns have different symbol counts; read them one by one "
                 "with indices()"
             )
-        width = int(counts[0])
-        start, stop = _window_bounds(width, window_range)
-        if self.layout == DENSE and columns is None:
-            bytes_per_row = packed_nbytes(width, self.bits_per_symbol)
-            if bytes_per_row * self.n_meters == int(self._payload.size):
-                # Contiguous dense segment: one reshape + one vectorized unpack.
-                packed = np.ascontiguousarray(self._payload).reshape(
-                    self.n_meters, bytes_per_row
-                )
-                return unpack_indices(packed, self.bits_per_symbol, width)[
-                    :, start:stop
-                ]
-        if self.layout == DENSE and self.bits_per_symbol <= 8 and stop > start:
-            # Any dense subset: gather each column's byte window with one
-            # fancy-index off the mmap, then decode the whole block with a
-            # single kernel call — the refinement read path never unpacks
-            # columns one at a time.
-            first_byte, last_byte, lead = slice_byte_window(
-                self.bits_per_symbol, start, stop
-            )
-            base = self.offsets[cols] + first_byte
-            window = self._payload[
-                base[:, None]
-                + np.arange(last_byte - first_byte, dtype=np.int64)[None, :]
-            ]
-            return unpack_slice(
-                window, self.bits_per_symbol, lead, lead + stop - start
-            )
-        if self.layout == RLE:
-            runs = self.runs_block(cols)
-            narrow = runs.values.astype(symbol_dtype(self.bits_per_symbol))
-            expanded = np.repeat(narrow, runs.run_lengths)
-            return expanded.reshape(cols.size, width)[:, start:stop]
-        bits = self.bits_per_symbol
-        symbols = unpack_columns(
-            self._payload, self.offsets[cols] * 8 + start * bits,
-            np.full(cols.size, stop - start), bits,
-        )
-        return symbols.reshape(cols.size, stop - start)
+        start, stop = _window_bounds(int(counts[0]), window_range)
+        if stop <= start:
+            return np.empty((cols.size, 0), dtype=symbol_dtype(self.bits_per_symbol))
+        return read_spans([(self, start, stop)], cols)
 
-    def decode(
-        self,
-        columns: Optional[Sequence[int]] = None,
-        window_range: Optional[tuple] = None,
+    def _rows(self, cols: np.ndarray, first_byte: int, nbytes: int) -> np.ndarray:
+        """Bytes ``[first_byte, first_byte + nbytes)`` of each column's
+        payload, one row per column of ``cols`` (no checksum check).
+
+        A dense segment's payload is a ``(columns, row bytes)`` grid: an
+        adjacent run of columns reads as a view of it, any other list as
+        one row gather.  Columns of different widths gather every byte.
+        """
+        if self._grid is None:
+            return self._payload[
+                (self.offsets[cols] + first_byte)[:, None]
+                + np.arange(nbytes, dtype=np.int64)
+            ]
+        window = slice(first_byte, first_byte + nbytes)
+        first, n = int(cols[0]), cols.size
+        if n > 1 and int(cols[-1]) - first == n - 1 and (cols[1:] - cols[:-1] == 1).all():
+            return self._grid[first: first + n, window]
+        return self._grid[cols, window]
+
+    def _packed_window(
+        self, cols: np.ndarray, first_byte: int, nbytes: int
     ) -> np.ndarray:
-        """Reconstruction values of a column/window slice, under this
-        segment's own tables (bit-identical to ``FleetEncoder.decode``)."""
-        matrix = self.matrix(columns, window_range)
+        """:meth:`_rows` of checksum-verified columns: a dense segment's
+        share of a :func:`read_spans` read."""
+        if self._verify_mode != "off":
+            self._verify_columns(cols)
+        return self._rows(cols, first_byte, nbytes)
+
+    def _expand(self, cols: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Windows ``[start, stop)`` of equal-length RLE columns: the stored
+        runs expanded."""
+        runs = self.runs_block(cols)
+        narrow = runs.values.astype(symbol_dtype(self.bits_per_symbol))
+        expanded = np.repeat(narrow, runs.run_lengths)
+        return expanded.reshape(cols.size, int(self.counts[cols[0]]))[:, start:stop]
+
+    @property
+    def reads(self):
+        """This segment's ``store.segment_reads_total`` counter, resolved
+        once (a lookup by name and label costs more than the increment)."""
+        if self._m_reads is None:
+            self._m_reads = _obs_registry().counter(
+                "store.segment_reads_total", "Per-segment payload reads",
+                segment=self.path.name,
+            )
+        return self._m_reads
+
+    def values(self, matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Reconstruction values of a symbol ``matrix`` whose rows are
+        ``columns``, under this segment's own tables (bit-identical to
+        ``FleetEncoder.decode``)."""
         tables = self._tables
         if tables is None:
             raise StoreError(f"{self.path.name} carries no lookup tables")
         if isinstance(tables, LookupTable):
             return tables.values_for_indices(matrix)
-        cols = range(self.n_meters) if columns is None else columns
         if isinstance(tables, dict):
             if self.labels is None:
                 raise StoreError("by-label tables require stored labels")
             recon = np.stack(
-                [tables[self.labels[c]].reconstruction_array for c in cols]
+                [tables[self.labels[c]].reconstruction_array for c in columns]
             )
         else:
-            recon = np.stack([tables[c].reconstruction_array for c in cols])
+            recon = np.stack([tables[c].reconstruction_array for c in columns])
         if matrix.size and (
             matrix.min() < 0 or matrix.max() >= self.alphabet_size
         ):
@@ -965,3 +931,137 @@ class _Segment:
                 f"{self.alphabet_size}"
             )
         return np.take_along_axis(recon, matrix, axis=1)
+
+
+def read_spans(
+    spans: Sequence[Tuple[_Segment, int, int]], cols: np.ndarray
+) -> np.ndarray:
+    """Symbols of column positions ``cols`` over ``spans`` as one matrix.
+
+    ``spans`` are ``(segment, lo, hi)`` window ranges, concatenated left to
+    right.  Each dense segment gathers the packed bytes of the columns'
+    window (checksums verified first), the gathers of each run of
+    consecutive segments whose windows have the same shape stack into one
+    buffer, and that buffer decodes with one :func:`unpack_slice` call: a
+    read across many segments costs one kernel call, not one per segment.
+    RLE segments expand their stored runs.
+    """
+    parts = []
+    for shape, group in groupby(spans, key=_window_shape):
+        group = list(group)
+        if shape is None:
+            parts.extend(seg._expand(cols, lo, hi) for seg, lo, hi in group)
+            continue
+        nbytes, lead, count = shape
+        bits = group[0][0].bits_per_symbol
+        windows = [
+            seg._packed_window(cols, slice_byte_window(bits, lo, hi)[0], nbytes)
+            for seg, lo, hi in group
+        ]
+        packed = (
+            windows[0] if len(windows) == 1
+            else np.stack(windows, axis=1).reshape(-1, nbytes)
+        )
+        symbols = unpack_slice(packed, bits, lead, lead + count)
+        parts.append(symbols.reshape(cols.size, len(group) * count))
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+
+def _window_shape(span: Tuple[_Segment, int, int]) -> Optional[Tuple[int, int, int]]:
+    """``(nbytes, lead, count)`` of a dense span's packed window (``None``
+    for an RLE span): consecutive spans of one shape decode together."""
+    segment, lo, hi = span
+    if segment.layout == RLE:
+        return None
+    first, last, lead = slice_byte_window(segment.bits_per_symbol, lo, hi)
+    return last - first, lead, hi - lo
+
+
+def verify_segments(segments: Sequence[_Segment]) -> List[List[CorruptStoreError]]:
+    """Check every checksum of ``segments`` now; each segment's errors.
+
+    One pass for the whole list: column CRCs pool across segments by
+    payload width (:func:`_check_columns`), then each RLE segment checks its
+    run-length array.  A segment's errors name its damaged columns, lowest
+    first, then a damaged length array.  Verified columns are cached, so
+    later reads are checksum-free.
+    """
+    errors: List[List[CorruptStoreError]] = [[] for _ in segments]
+    pieces = [(seg, np.arange(seg.n_meters, dtype=np.int64)) for seg in segments]
+    for piece, column, actual in _check_columns(pieces):
+        segment = segments[piece]
+        errors[piece].append(segment._corrupt_column(
+            column, int(segment._column_crcs[column]), actual
+        ))
+    for segment, found in zip(segments, errors):
+        if segment.layout == RLE:
+            try:
+                segment._verify_lengths()
+            except CorruptStoreError as exc:
+                found.append(exc)
+    return errors
+
+
+def _check_columns(
+    pieces: Sequence[Tuple[_Segment, np.ndarray]]
+) -> List[Tuple[int, int, int]]:
+    """CRC32C-check the unverified columns of ``(segment, columns)`` pieces.
+
+    Columns of one payload width pool across pieces into
+    :func:`crc32c_rows` calls of at most ``_Segment._RUN_SCAN_BLOCK`` rows,
+    so a store's eager pass is a few row-kernel calls however many segments
+    it spans, and memory holds one call's rows.  Good columns are cached as
+    verified.  Returns ``(piece, column, actual_crc)`` per mismatch, in
+    piece and column order.
+    """
+    by_width: Dict[int, List[Tuple[int, _Segment, np.ndarray]]] = {}
+    checked = 0
+    for piece, (segment, columns) in enumerate(pieces):
+        if segment._column_crcs is None:
+            continue
+        cols = np.asarray(columns, dtype=np.int64)
+        cols = cols[~segment._verified[cols]]
+        checked += cols.size
+        widths = segment._column_widths(cols)
+        for width in np.unique(widths).tolist():
+            by_width.setdefault(width, []).append(
+                (piece, segment, cols[widths == width])
+            )
+    if checked:
+        _obs_registry().counter(
+            "store.checksum_verifies_total",
+            "Column payload CRC32C verifications",
+        ).inc(checked)
+    bad = []
+    for width, group in by_width.items():
+        for batch in _row_batches(group, _Segment._RUN_SCAN_BLOCK):
+            actual = crc32c_rows(np.concatenate(
+                [segment._rows(cols, 0, width) for _, segment, cols in batch]
+            ))
+            at = 0
+            for piece, segment, cols in batch:
+                got = actual[at: at + cols.size]
+                at += cols.size
+                good = got.astype(np.int64) == segment._column_crcs[cols]
+                segment._verified[cols[good]] = True
+                segment._all_verified = bool(segment._verified.all())
+                bad.extend(
+                    (piece, int(c), int(a)) for c, a in zip(cols[~good], got[~good])
+                )
+    return sorted(bad)
+
+
+def _row_batches(group: List[Tuple], limit: int) -> Iterator[List[Tuple]]:
+    """``(piece, segment, columns)`` entries in batches of ``limit`` columns
+    (the last one shorter), cutting an entry where a batch fills."""
+    batch, size = [], 0
+    for piece, segment, cols in group:
+        while cols.size:
+            part, cols = cols[: limit - size], cols[limit - size:]
+            batch.append((piece, segment, part))
+            size += part.size
+            if size == limit:
+                yield batch
+                batch, size = [], 0
+    if batch:
+        yield batch

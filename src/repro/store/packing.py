@@ -113,9 +113,7 @@ def _bit_weights(bits: int) -> np.ndarray:
 
 
 def _align_syms(bits: int) -> int:
-    """Symbols between byte-aligned decode starts (1 for the plane path)."""
-    if bits > 8:
-        return 1
+    """Symbols between starts that fall on a byte boundary."""
     return 8 // gcd(bits, 8)
 
 
@@ -406,24 +404,11 @@ def unpack_slice(packed: np.ndarray, bits: int, start: int, stop: int) -> np.nda
     if stop == start:
         shape = (0,) if packed.ndim == 1 else (packed.shape[0], 0)
         return np.zeros(shape, dtype=symbol_dtype(bits))
-    last_byte = (stop * bits + 7) // 8
+    first_byte, last_byte, lead = slice_byte_window(bits, start, stop)
     if last_byte > packed.shape[-1]:
         raise StoreError(
             f"slice [{start}, {stop}) reads past the packed column "
             f"({packed.shape[-1]} bytes at {bits} bits/symbol)"
         )
-    if bits > 8:
-        # Wide symbols straddle arbitrarily: slice at bit granularity.
-        first_bit = start * bits
-        first_byte = first_bit // 8
-        window = np.ascontiguousarray(packed[..., first_byte:last_byte])
-        bit_planes = np.unpackbits(window, axis=-1)
-        head = first_bit - first_byte * 8
-        planes = bit_planes[..., head: head + (stop - start) * bits]
-        planes = planes.reshape(packed.shape[:-1] + (stop - start, bits))
-        return (planes.astype(np.int64) @ _bit_weights(bits)).astype(
-            symbol_dtype(bits)
-        )
-    first_byte, last_byte, lead = slice_byte_window(bits, start, stop)
     window = np.ascontiguousarray(packed[..., first_byte:last_byte])
     return _decode_window(window, bits, lead + stop - start)[..., lead:]

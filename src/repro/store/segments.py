@@ -65,7 +65,7 @@ from ..obs import registry as _obs_registry
 from ..pipeline.stages import RLERuns
 from . import faults
 from .checksum import crc32c, crc32c_hex
-from .format import DENSE, RLE, _Segment, _window_bounds
+from .format import DENSE, RLE, _Segment, _window_bounds, read_spans, verify_segments
 from .packing import bits_for_alphabet
 
 __all__ = [
@@ -353,12 +353,17 @@ class SymbolStore:
         """
         path = Path(path)
         if not path.is_dir():
-            return cls(path, [_Segment.open(
+            segment = _Segment.open(
                 path, mmap=mmap, prefetch=prefetch, verify=verify
-            )])
+            )
+            errors = verify_segments([segment])[0] if verify == "eager" else []
+            if errors:
+                raise errors[0]
+            return cls(path, [segment])
         manifest, _, _ = _select_manifest(path, strict=strict)
+        records = [SegmentRecord.from_dict(data) for data in manifest.get("segments", [])]
         segments: List[_Segment] = []
-        records: List[SegmentRecord] = []
+        kept: List[SegmentRecord] = []
         quarantined: List[Tuple[str, str]] = []
 
         def _quarantine(record: SegmentRecord, exc: Exception, reason: str) -> None:
@@ -378,8 +383,11 @@ class SymbolStore:
                 )
             )
 
-        for data in manifest.get("segments", []):
-            record = SegmentRecord.from_dict(data)
+        # Open every segment first, so an eager open checks all of their
+        # columns in one pooled pass; then settle each segment in manifest
+        # order: an open failure, a checksum failure, a manifest mismatch.
+        opened: List[Union[_Segment, Exception]] = []
+        for record in records:
             seg_path = path / record.name
             try:
                 actual_nbytes = seg_path.stat().st_size
@@ -392,25 +400,36 @@ class SymbolStore:
                         hint="truncated" if actual_nbytes < record.file_nbytes
                         else "bit-rot",
                     )
-                segment = _Segment.open(
+                opened.append(_Segment.open(
                     seg_path, mmap=mmap, prefetch=prefetch, verify=verify
-                )
+                ))
             except (StoreError, OSError) as exc:
-                reason = getattr(exc, "check", "") or "unreadable"
-                _quarantine(record, exc, reason)
+                opened.append(exc)
+        live = [seg for seg in opened if isinstance(seg, _Segment)]
+        damage = iter(verify_segments(live) if verify == "eager" else [[]] * len(live))
+        for record, segment in zip(records, opened):
+            if isinstance(segment, Exception):
+                reason = getattr(segment, "check", "") or "unreadable"
+                _quarantine(record, segment, reason)
                 continue
+            errors = next(damage)
             problem = cls._segment_mismatch(segment, manifest)
-            if problem is not None:
-                segment.close()
+            if not errors and problem is None:
+                segments.append(segment)
+                kept.append(record)
+                continue
+            segment.close()
+            if errors:
+                _quarantine(record, errors[0], errors[0].check)
+            else:
                 _quarantine(
                     record,
-                    StoreError(f"{seg_path} does not match the manifest: {problem}"),
+                    StoreError(
+                        f"{path / record.name} does not match the manifest: {problem}"
+                    ),
                     "mismatch",
                 )
-                continue
-            segments.append(segment)
-            records.append(record)
-        return cls(path, segments, manifest, records, quarantined)
+        return cls(path, segments, manifest, kept, quarantined)
 
     @staticmethod
     def _segment_mismatch(segment: _Segment, manifest: Dict) -> Optional[str]:
@@ -532,47 +551,48 @@ class SymbolStore:
                 yield segment, lo, hi
             offset += width
 
-    def _read(self, columns: Optional[Sequence[int]], window_range, read, dtype):
-        """``hstack`` of ``read(segment, columns, (lo, hi))`` over the spans.
+    def _read(self, columns: Optional[Sequence[int]], window_range,
+              values: bool = False) -> np.ndarray:
+        """Symbols of column positions ``columns`` (``None`` = all) over
+        ``window_range``, with one :func:`read_spans` call across the
+        segments holding the window.
 
-        ``columns`` are positions (``None`` = all, which segments pass on as
-        such so a whole dense file keeps its contiguous reshape path).
+        ``values=True`` returns reconstruction values instead: each
+        segment's slice maps through that segment's own tables, so a table
+        epoch cut by drift decodes as it was encoded.
         """
-        if columns is not None:
-            columns = np.asarray(columns, dtype=np.int64)
-        counts = self.counts if columns is None else self.counts[columns]
-        if not counts.size:
+        cols = (
+            np.arange(self.n_meters, dtype=np.int64) if columns is None
+            else np.asarray(columns, dtype=np.int64)
+        )
+        dtype = np.float64 if values else np.int64
+        if not cols.size:
             return np.empty((0, 0), dtype=dtype)
+        counts = self.counts[cols]
         if np.any(counts != counts[0]):
             raise StoreError(
                 "columns have different symbol counts; read them one by one "
                 "with indices()"
             )
         start, stop = _window_bounds(int(counts[0]), window_range)
-        metrics = _obs_registry()
-        parts = []
-        first = 0 if columns is None else columns[0]
-        for segment, lo, hi in self._spans(start, stop, first):
-            parts.append(read(segment, columns, (lo, hi)))
-            metrics.counter(
-                "store.segment_reads_total", "Per-segment payload reads",
-                segment=segment.path.name,
-            ).inc()
-        if not parts:
-            return np.empty((counts.size, max(0, stop - start)), dtype=dtype)
-        return parts[0] if len(parts) == 1 else np.hstack(parts)
+        spans = list(self._spans(start, stop, int(cols[0])))
+        if not spans:
+            return np.empty((cols.size, max(0, stop - start)), dtype=dtype)
+        for segment, _, _ in spans:
+            segment.reads.inc()
+        matrix = read_spans(spans, cols)
+        if not values:
+            return matrix
+        out = np.empty(matrix.shape, dtype=np.float64)
+        at = 0
+        for segment, lo, hi in spans:
+            out[:, at: at + hi - lo] = segment.values(matrix[:, at: at + hi - lo], cols)
+            at += hi - lo
+        return out
 
     def indices(self, meter, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Symbol indices ``[start, stop)`` of one column, across segments."""
-        column = self._column(meter)
-        start, stop = _window_bounds(int(self.counts[column]), (start, stop))
-        parts = [
-            segment.matrix([column], (lo, hi))[0]
-            for segment, lo, hi in self._spans(start, stop, column)
-        ]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self._read([self._column(meter)], (start, stop))[0]
 
     def matrix(
         self,
@@ -581,7 +601,7 @@ class SymbolStore:
     ) -> np.ndarray:
         """Index matrix ``(len(meters), windows)`` for equal-length columns."""
         columns = None if meters is None else self._resolve_meters(meters)
-        return self._read(columns, window_range, _Segment.matrix, np.int64)
+        return self._read(columns, window_range)
 
     def matrix_block(
         self,
@@ -592,16 +612,15 @@ class SymbolStore:
         """Index matrix of the contiguous column block ``[start, stop)``.
 
         The block-granular read unit of the query layer's
-        :class:`~repro.query.ops.ColumnSource`: dense blocks decode with one
-        gather per segment (the contiguous reshape fast path when the block
-        covers every column), RLE blocks expand run by run.
+        :class:`~repro.query.ops.ColumnSource`: dense segments read the
+        block as a strided view of their payload, RLE blocks expand run by
+        run.
         """
         start = max(0, int(start))
         stop = min(int(stop), self.n_meters)
         if stop <= start:
             return np.empty((0, 0), dtype=np.int64)
-        columns = None if stop - start == self.n_meters else np.arange(start, stop)
-        return self._read(columns, window_range, _Segment.matrix, np.int64)
+        return self._read(np.arange(start, stop), window_range)
 
     def runs(self, meter) -> tuple:
         """``(run_values, run_lengths)`` of one column: a one-column :meth:`runs_block`."""
@@ -619,7 +638,7 @@ class SymbolStore:
         """
         cols = np.asarray(columns, dtype=np.int64).reshape(-1)
         if len(self._segments) != 1:
-            return RLERuns.from_matrix(self._read(cols, None, _Segment.matrix, np.int64))
+            return RLERuns.from_matrix(self._read(cols, None))
         return self._segments[0].runs_block(cols)
 
     def run_blocks(
@@ -688,7 +707,7 @@ class SymbolStore:
                 int(day_start) * int(per_day), int(day_stop) * int(per_day)
             )
         columns = None if meters is None else self._resolve_meters(meters)
-        return self._read(columns, window_range, _Segment.decode, np.float64)
+        return self._read(columns, window_range, values=True)
 
     def day_vectors(self):
         """Rebuild the classification :class:`~repro.ml.dataset.MLDataset`.
@@ -726,12 +745,12 @@ class SymbolStore:
         subsequent reads checksum-free.  With ``strict`` the first failure
         raises instead of being listed under ``errors``.
         """
-        segment_reports = []
-        errors: List[CorruptStoreError] = []
-        for segment in self._segments:
-            report = segment.verify(strict=False)
-            segment_reports.append(report)
-            errors.extend(report["errors"])
+        found = verify_segments(self._segments)
+        segment_reports = [
+            segment._report(seg_errors, strict=False)
+            for segment, seg_errors in zip(self._segments, found)
+        ]
+        errors = [error for seg_errors in found for error in seg_errors]
         report = {
             "path": str(self.path),
             "generation": self.generation,

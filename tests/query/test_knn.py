@@ -161,6 +161,14 @@ class TestValidation:
         with pytest.raises(QueryError, match="NaN"):
             engine.knn(bad, QueryConfig(k=1))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_query(self, fixture_store, value):
+        engine = QueryEngine.open(fixture_store.path)
+        query = fixture_store.decode(meters=[fixture_store.ids[0]])[0]
+        query[3] = value
+        with pytest.raises(QueryError, match="finite"):
+            engine.knn(query, QueryConfig(k=3))
+
     def test_unknown_exclude_id(self, fixture_store):
         engine = QueryEngine.open(fixture_store.path)
         query = fixture_store.decode(meters=[fixture_store.ids[0]])[0]

@@ -138,6 +138,16 @@ class TestStructuredErrors:
         with pytest.raises(BadRequest):
             client.knn("fleet", [["not", "numbers"]])
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_query_400(self, server, value):
+        """A non-finite query value is the engine's 400, never an answer:
+        an inf query once got distances of inf, which JSON cannot carry."""
+        queries = fleet_values()[:1]
+        queries[0, 7] = value
+        with pytest.raises(ServeError) as info:
+            no_retry(server.url).knn("fleet", queries, k=3)
+        assert (info.value.code, info.value.status) == ("query.invalid", 400)
+
     def test_missing_pattern_400(self, server):
         with pytest.raises(BadRequest):
             no_retry(server.url)._call("POST", "/stores/fleet/match", {})

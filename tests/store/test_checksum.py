@@ -1,4 +1,5 @@
-"""CRC32C correctness: check vector, lane parity, combine, row batches.
+"""CRC32C correctness: check vector, lane parity, combine, row batches,
+and the eager open's row batches pooled across segments.
 
 Every fast path is compared with :func:`_crc_bytes`, the reference byte
 loop, and the writer's stored column checksums with the same loop.
@@ -7,11 +8,19 @@ loop, and the writer's stored column checksums with the same loop.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.store import DENSE, RLE, write_fleet_store, write_segmented_fleet
+from repro.store import (
+    DENSE,
+    RLE,
+    SymbolStore,
+    write_fleet_store,
+    write_segmented_fleet,
+)
+from repro.store import format as format_module
 from repro.store.checksum import (
     _LANE_PIECE,
     _LANE_THRESHOLD,
@@ -201,3 +210,34 @@ def test_writer_column_crcs_match_byte_loop(tmp_path, layout, tables, workers):
             payload = segment._payload[start:stop].tobytes()
             assert stored[column] == _reference(payload)
         segment.close()
+
+
+@pytest.mark.parametrize("layout", [DENSE, RLE])
+def test_eager_open_pools_bounded_row_batches(tmp_path, monkeypatch, layout):
+    """An eager open checks equal-width columns of every segment together,
+    in row-kernel calls of at most ``_Segment._RUN_SCAN_BLOCK`` rows."""
+    rng = np.random.default_rng(41)
+    values = np.abs(rng.normal(2.0, 0.8, size=(40, 8 * 48)))
+    path = tmp_path / "fleet.rsyms"
+    write_segmented_fleet(
+        path, values, alphabet_size=8, layout=layout, segment_windows=48,
+    ).close()
+    calls = []
+    rows = format_module.crc32c_rows
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return rows(matrix)
+
+    monkeypatch.setattr(_Segment, "_RUN_SCAN_BLOCK", 64)
+    monkeypatch.setattr(format_module, "crc32c_rows", counted)
+    with SymbolStore.open(path, verify="eager") as store:
+        assert store.n_segments == 8 and not store.quarantined
+        assert all(seg._verified.all() for seg in store.segments)
+        widths = Counter(
+            width for seg in store.segments
+            for width in seg._column_widths(np.arange(seg.n_meters)).tolist()
+        )
+    assert sum(calls) == 8 * 40 and max(calls) <= 64
+    # One call per 64 columns of a width, whichever segments they sit in.
+    assert len(calls) == sum(-(-count // 64) for count in widths.values())

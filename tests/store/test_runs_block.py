@@ -203,7 +203,7 @@ def _count_segment_reads(monkeypatch) -> dict:
     """Patch the ``_Segment`` read methods to count outermost calls per segment."""
     calls: dict = {}
     depth = [0]
-    for name in ("runs_block", "matrix"):
+    for name in ("runs_block", "matrix", "_packed_window"):
         original = getattr(_Segment, name)
 
         def counted(self, *args, _original=original, **kwargs):
