@@ -3,8 +3,10 @@
 Measures what the crash-safety layer costs: append latency for one
 day-sized segment (write + checksum + fsync + atomic manifest commit),
 scrub throughput in bytes per second, the CRC32C kernel's own bytes per
-second, and the checksum tax on the read path — an eagerly verified
-full-matrix read versus the same read with verification off.  The
+second, the checksum tax on the read path — an eagerly verified
+full-matrix read versus the same read with verification off — and the
+ingest cycle a server runs on a store fed hourly: append an hour, lease
+the reloaded snapshot, aggregate the whole fleet.  The
 query-overhead entry is the acceptance check for the durability layer:
 verified kNN batches must stay within 10% of unverified ones, both on an
 open engine (steady state) and through an eager open, so the integrity
@@ -37,6 +39,14 @@ WINDOWS_PER_DAY = 96
 PAIRS = 21
 N_DAYS = 8
 ALPHABET = 8
+
+
+#: The hourly-append store of the reload benchmark: a week of hourly
+#: segments, as an hourly append feed leaves it.
+RELOAD_METERS = 192
+RELOAD_SEGMENTS = 168
+RELOAD_ALPHABET = 16
+RELOAD_CYCLES = 30
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +249,59 @@ def test_query_throughput_with_checksums(benchmark, segment_dir, results_dir):
     # Acceptance: checksum verification costs < 10% of query throughput.
     assert steady < 1.10
     assert eager < 1.10
+
+
+@pytest.fixture()
+def hourly_dir(tmp_path):
+    rng = np.random.default_rng(37)
+    values = np.abs(rng.normal(
+        2.0, 0.8, size=(RELOAD_METERS, RELOAD_SEGMENTS * 4)
+    ))
+    directory = tmp_path / "hourly.rsyms"
+    write_segmented_fleet(
+        directory, values, alphabet_size=RELOAD_ALPHABET, method="median",
+        segment_windows=4, sampling_interval=900.0,
+    ).close()
+    return directory
+
+
+def test_append_reload_throughput(benchmark, hourly_dir):
+    """Ingest cycles on a store of 168 hourly segments, without HTTP: append
+    one hour, lease the server's reloaded snapshot, aggregate the fleet.
+
+    The lease is the server's own reload (``_StoreHandle``), so a cycle
+    pays what a served append plus the next read pay, minus the wire.
+    """
+    from repro.query import QueryEngine
+    from repro.serve.server import ServerConfig, _StoreHandle
+
+    handle = _StoreHandle("fleet", hourly_dir, ServerConfig())
+    with SegmentedStore.open(hourly_dir) as store:
+        table = store.shared_table
+    rng = np.random.default_rng(41)
+    hours = iter([
+        rng.integers(0, RELOAD_ALPHABET, size=(RELOAD_METERS, 4))
+        for _ in range(RELOAD_CYCLES + 1)
+    ])
+
+    def cycle():
+        append_segment(hourly_dir, next(hours), tables=table, reason="ingest")
+        snapshot = handle.lease()
+        try:
+            return snapshot.engine.aggregate()
+        finally:
+            snapshot.release()
+
+    try:
+        cycle()  # the first snapshot opens cold, as a server's first read does
+        report = benchmark.pedantic(cycle, rounds=RELOAD_CYCLES, iterations=1)
+    finally:
+        handle.drop_snapshot()
+    with QueryEngine.open(hourly_dir) as engine:
+        assert report.rows() == engine.aggregate().rows()
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info.update({
+        "segments": RELOAD_SEGMENTS + RELOAD_CYCLES + 1,
+        "meters": RELOAD_METERS,
+        "cycles_per_s": 1.0 / mean,
+    })

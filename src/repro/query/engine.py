@@ -43,17 +43,18 @@ merge), and results are bit-identical for every worker count.
 from __future__ import annotations
 
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from ..errors import QueryError
+from ..errors import CorruptStoreError, QueryError, StoreIntegrityWarning
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
-from ..store.segments import SymbolStore, open_store
+from ..store.segments import SymbolStore, open_store, segment_run_counts
 from .aggregate import AggregateReport, aggregate_store
-from .index import QueryIndex, build_query_index, query_index_path
+from .index import DEFAULT_BANDS, QueryIndex, build_query_index, query_index_path
 from .ops import (
     AnomalyOperator,
     AnomalyReport,
@@ -89,6 +90,38 @@ _STALE_INDEX_WARNED: Set[str] = set()
 #: reopens stores concurrently, and an unsynchronized check-then-add could
 #: emit the warning twice (harmless) or corrupt the set (not).
 _STALE_INDEX_LOCK = threading.Lock()
+
+
+def _sidecar_index(store: SymbolStore) -> Optional[QueryIndex]:
+    """The store's ``.rsymx`` sidecar, or ``None`` when it is absent or
+    stale; a stale one is dropped with a warning, once per sidecar path."""
+    sidecar = query_index_path(store.path)
+    index = QueryIndex.open(sidecar) if sidecar.exists() else None
+    if index is None:
+        return None
+    try:
+        index.check_store(store)
+    except QueryError as exc:
+        key = str(sidecar.resolve())
+        # The warning dedups; the counter never does — a degraded
+        # store stays visible on /metrics long after the first open.
+        _obs_registry().counter(
+            "store.stale_index_total",
+            "Opens that dropped a stale .rsymx sidecar",
+        ).inc()
+        with _STALE_INDEX_LOCK:
+            first = key not in _STALE_INDEX_WARNED
+            _STALE_INDEX_WARNED.add(key)
+        if first:
+            warnings.warn(
+                StoreIntegrityWarning(
+                    f"ignoring stale query index {sidecar.name}: {exc} — "
+                    f"rebuild it with write_query_index after appending",
+                    path=sidecar, kind="segment", reason="stale-index",
+                )
+            )
+        return None
+    return index
 
 
 @dataclass(frozen=True)
@@ -189,36 +222,93 @@ class QueryEngine:
         open, and queries rebuild the index in memory.
         """
         store = open_store(path, mmap=mmap)
-        sidecar = query_index_path(store.path)
-        index = QueryIndex.open(sidecar) if sidecar.exists() else None
-        if index is not None:
+        return cls(store, index=_sidecar_index(store))
+
+    def reopen(self) -> "QueryEngine":
+        """The engine of the store's newest committed generation, costing
+        only what changed since this one.
+
+        The store reopens through :meth:`SymbolStore.reopen`, so unchanged
+        segments are shared, not reopened.  When the new generation only
+        appends segments to this one (:attr:`SymbolStore.appended`), the new
+        engine's summaries are this engine's plus the appended windows'
+        share, computed by the cold path's own kernels: the index, when it
+        has the default bands folded by ``windows_per_day`` and the columns
+        already hold a day; the whole-fleet histograms and peaks; and the
+        run counts.  They are
+        exact integers, so every answer equals a cold :meth:`open`'s.  Any
+        other change — a quarantine, a rollback, a scrub repair, fewer
+        segments — takes the cold open's rules, and so does an append whose
+        share fails its checksums (the first query then meets the damage,
+        as after a cold open).  The reload is a ``store.reopen`` span whose
+        ``summaries`` is ``"carried"`` or ``"rebuilt"``.  This engine stays
+        usable until it is closed.
+        """
+        with _obs_tracer().span("store.reopen") as span:
+            store = self.store.reopen()
             try:
-                index.check_store(store)
-            except QueryError as exc:
-                key = str(sidecar.resolve())
-                # The warning dedups; the counter never does — a degraded
-                # store stays visible on /metrics long after the first open.
-                _obs_registry().counter(
-                    "store.stale_index_total",
-                    "Opens that dropped a stale .rsymx sidecar",
-                ).inc()
-                with _STALE_INDEX_LOCK:
-                    first = key not in _STALE_INDEX_WARNED
-                    _STALE_INDEX_WARNED.add(key)
-                if first:
-                    import warnings
+                engine = self._carried(store)
+                summaries = "rebuilt" if engine is None else "carried"
+                if engine is None:
+                    engine = QueryEngine(store, index=_sidecar_index(store))
+            except BaseException:
+                store.close()
+                raise
+            span.set_attributes(
+                generation=store.generation,
+                segments_shared=store.segments_shared,
+                segments_opened=store.segments_opened,
+                summaries=summaries,
+            )
+        return engine
 
-                    from ..errors import StoreIntegrityWarning
-
-                    warnings.warn(
-                        StoreIntegrityWarning(
-                            f"ignoring stale query index {sidecar.name}: {exc} — "
-                            f"rebuild it with write_query_index after appending",
-                            path=sidecar, kind="segment", reason="stale-index",
-                        )
-                    )
-                index = None
-        return cls(store, index=index)
+    def _carried(self, store: SymbolStore) -> Optional["QueryEngine"]:
+        """An engine over ``store`` with this engine's summaries carried
+        forward; ``None`` unless ``store`` is an append of this engine's
+        store whose appended share passes its checksums."""
+        if store.appended is None:
+            return None
+        with self._lock:
+            index, source = self._index, self._source
+        stats, runs = None, self.store._run_counts
+        if source is not None:
+            with source._lock:  # in-flight requests may still be filling them
+                stats = source._column_stats
+                if source._run_counts is not None:
+                    runs = source._run_counts
+        if stats is None and index is not None:
+            stats = (index.histograms, index.max_symbols)
+        old, new = (int(s.counts[0]) if s.n_meters else 0 for s in (self.store, store))
+        if index is not None and not (
+            index.n_bands == DEFAULT_BANDS
+            and index.windows_per_day and old >= index.windows_per_day
+        ):
+            # Carry only the index a cold open would rebuild: contiguous
+            # bands depend on the column length, and a sidecar may have
+            # been written with other bands.
+            index = None
+        carried = ColumnSource(store)
+        share = None
+        try:
+            if new > old and (index is not None or stats is not None):
+                bands = index.n_bands if index is not None else 1
+                share = carried._scan_stats(0, store.n_meters, bands, (old, new))
+            if runs is not None:
+                last = next(
+                    (seg for seg in reversed(self.store.segments) if seg.counts.any()),
+                    None,
+                )
+                runs = runs + segment_run_counts(store.appended, store.n_meters, last)
+        except CorruptStoreError:
+            return None
+        if stats is not None and share is not None:
+            stats = (stats[0] + share[0].sum(axis=1), np.maximum(stats[1], share[3]))
+        index = _sidecar_index(store) if index is None else index.extended(share, store)
+        carried.index = index
+        carried._column_stats, carried._run_counts = stats, runs
+        engine = QueryEngine(store, index=index)
+        engine._source = carried
+        return engine
 
     @property
     def table(self):

@@ -116,8 +116,16 @@ def _store_bands(store: SymbolStore, n_bands: int) -> Optional[int]:
     return int(per_day) if per_day else None
 
 
-def _shard_stats(store: SymbolStore, start: int, stop: int, n_bands: int) -> tuple:
-    """Banded histogram + first/min/max symbols for columns ``[start, stop)``."""
+def _shard_stats(
+    store: SymbolStore, start: int, stop: int, n_bands: int,
+    window_range: Optional[tuple] = None,
+) -> tuple:
+    """Banded histogram + first/min/max symbols for columns ``[start, stop)``.
+
+    ``window_range`` scans only windows ``[lo, hi)`` (``hi > lo``) of
+    equal-length columns, each in the band of its absolute position in the
+    column: the share those windows add to the whole column's statistics.
+    """
     k = store.alphabet_size
     n = stop - start
     per_day = _store_bands(store, n_bands)
@@ -127,8 +135,10 @@ def _shard_stats(store: SymbolStore, start: int, stop: int, n_bands: int) -> tup
     hi_sym = np.zeros(n, dtype=np.int64)
     counts = store.counts[start:stop]
     if n and np.all(counts == counts[0]) and counts[0] > 0:
-        matrix = store.matrix_block(start, stop)
-        band = band_of_windows(matrix.shape[1], n_bands, per_day)
+        width = int(counts[0])
+        lo, hi = (0, width) if window_range is None else window_range
+        matrix = store.matrix_block(start, stop, (lo, hi))
+        band = band_of_windows(width, n_bands, per_day)[lo:hi]
         flat = (np.arange(n)[:, None] * n_bands + band[None, :]) * k + matrix
         hist[:] = np.bincount(
             flat.ravel(), minlength=n * n_bands * k
@@ -137,6 +147,8 @@ def _shard_stats(store: SymbolStore, start: int, stop: int, n_bands: int) -> tup
         lo_sym[:] = matrix.min(axis=1)
         hi_sym[:] = matrix.max(axis=1)
         return hist, first, lo_sym, hi_sym
+    if window_range is not None:
+        raise QueryError("a window range needs non-empty columns of one length")
     for row, column in enumerate(range(start, stop)):
         indices = store.indices(store.ids[column])
         if indices.size == 0:
@@ -207,6 +219,20 @@ class QueryIndex:
         if self._float_histograms is None:
             self._float_histograms = self.band_histograms.astype(np.float64)
         return self._float_histograms
+
+    def extended(self, share: Optional[tuple], store: SymbolStore) -> "QueryIndex":
+        """This index for ``store``, whose columns continue this index's
+        columns with windows whose :func:`_shard_stats` are ``share``
+        (``None`` when no window was added): band histograms add, min and
+        max fold, first symbols stay."""
+        hist, lo, hi = self.band_histograms, self.min_symbols, self.max_symbols
+        if share is not None:
+            hist = hist + share[0]
+            lo, hi = np.minimum(lo, share[2]), np.maximum(hi, share[3])
+        return QueryIndex(
+            hist, self.first_symbols, lo, hi, _store_fingerprint(store),
+            windows_per_day=self.windows_per_day,
+        )
 
     def bands_for(self, count: int) -> np.ndarray:
         """Band of every window of a ``count``-long column (query side)."""

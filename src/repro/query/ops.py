@@ -240,14 +240,15 @@ class ColumnSource:
         ((_, runs),) = self.run_blocks([self.store._column(meter)])
         return runs.values, runs.run_lengths
 
-    def _scan_stats(self, start: int, stop: int, n_bands: int) -> tuple:
+    def _scan_stats(self, start: int, stop: int, n_bands: int,
+                    window_range: Optional[tuple] = None) -> tuple:
         """Banded histogram scan of ``[start, stop)`` — a payload read."""
         n = max(0, int(stop) - int(start))
         with self._lock:
             self.stats.columns_decoded += n
         self._m_columns.inc(n)
         self._m_blocks.inc()
-        return _shard_stats(self.store, int(start), int(stop), n_bands)
+        return _shard_stats(self.store, int(start), int(stop), n_bands, window_range)
 
     # -- cached column statistics ------------------------------------------------
 

@@ -12,9 +12,13 @@
   504 with partial-work accounting, not an overstayed request;
 * **snapshot leases + hot reload** — every request leases an immutable
   engine snapshot; when a concurrent :class:`~repro.store.FleetIngestor`
-  commits a new manifest generation, the *next* request sees it (reopened
+  commits a new manifest generation, the *next* request sees it (reloaded
   under the manager lock) while in-flight requests keep theirs, and
-  retired snapshots close only when their last lease drops;
+  retired snapshots close only when their last lease drops.  A reload
+  opens only the new segments, shares the unchanged ones with the retiring
+  snapshot, and carries its index, fleet histograms and run counts
+  forward (:meth:`~repro.query.QueryEngine.reopen`), so it costs what the
+  append added;
 * **circuit breaker + degraded serving** — repeated
   :class:`~repro.errors.CorruptStoreError` trips the store's
   :class:`~repro.serve.breaker.CircuitBreaker`: the quarantine-aware
@@ -202,12 +206,15 @@ class _StoreHandle:
                 trial: Optional[bool] = None) -> _Snapshot:
         """Open a fresh snapshot; a granted breaker trial needs a clean open.
 
-        The open itself never raises for quarantined segments or a rolled
-        back manifest: it reports each as a :class:`StoreIntegrityWarning`,
-        which counts one breaker failure and marks the snapshot
-        degraded.  A granted trial additionally records one failure when the
-        open reports damage (one success when it does not); a refused trial
-        serves degraded.
+        A healthy retiring snapshot reloads through
+        :meth:`QueryEngine.reopen`, which opens only the new segments and
+        carries its summaries forward; with no snapshot, or a degraded one
+        (a breaker trial among them), the store opens cold.  The open itself
+        never raises for quarantined segments or a rolled back manifest: it
+        reports each as a :class:`StoreIntegrityWarning`, which counts one
+        breaker failure and marks the snapshot degraded.  A granted trial
+        additionally records one failure when the open reports damage (one
+        success when it does not); a refused trial serves degraded.
         """
         import warnings as warnings_mod
 
@@ -218,7 +225,18 @@ class _StoreHandle:
             with warnings_mod.catch_warnings(record=True) as caught:
                 warnings_mod.simplefilter("always")
                 try:
-                    engine = QueryEngine.open(self.path)
+                    if retiring is None or retiring.degraded:
+                        with obs_tracer().span(
+                            "store.reopen", summaries="rebuilt"
+                        ) as span:
+                            engine = QueryEngine.open(self.path)
+                            span.set_attributes(
+                                generation=engine.store.generation,
+                                segments_shared=engine.store.segments_shared,
+                                segments_opened=engine.store.segments_opened,
+                            )
+                    else:
+                        engine = retiring.engine.reopen()
                 except (CorruptStoreError, OSError):
                     # Nothing can be served: every manifest is damaged, or
                     # a bare file (which has no segments to skip) is.

@@ -59,6 +59,7 @@ import json
 import mmap as _mmap
 import os
 import struct
+import threading
 from itertools import groupby
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -93,6 +94,10 @@ DENSE = "dense"
 RLE = "rle"
 
 _LENGTH_DTYPE = np.dtype("<u4")
+
+#: Guards every segment's holder count: snapshots open and close on
+#: different server threads.
+_HOLDERS_LOCK = threading.Lock()
 
 #: madvise flags by name, resolved lazily (absent on some platforms).
 _MADVISE_FLAGS = {
@@ -496,7 +501,9 @@ class _Segment:
     The private primitive under :class:`~repro.store.SymbolStore`, which
     assembles one or more segments into a store; every read here takes
     column *positions* (``None`` = all columns), never ids.  Decoding a
-    slice touches only that slice's pages of the memory map.
+    slice touches only that slice's pages of the memory map.  Snapshots of
+    one store share an unchanged segment: each holds it (:meth:`acquire`),
+    and the map is released when the last holder closes it.
     """
 
     def __init__(
@@ -523,9 +530,8 @@ class _Segment:
         )
         self._lengths_crc = checksums.get("lengths")
         self._verify_mode = verify if self._column_crcs is not None else "off"
-        self._verified = np.zeros(len(self.ids), dtype=bool)
-        self._all_verified = self._column_crcs is None
-        self._lengths_verified = False
+        self.rearm()
+        self._holders = 1
         self._m_reads = None
         # Dense equal-width columns sit back to back: view them as a grid.
         self._grid: Optional[np.ndarray] = None
@@ -676,10 +682,33 @@ class _Segment:
             )
         return cls(path, header, payload, verify=verify)
 
+    def acquire(self) -> bool:
+        """Hold this open segment once more; ``False`` if it is closed."""
+        with _HOLDERS_LOCK:
+            if not self._holders:
+                return False
+            self._holders += 1
+            return True
+
     def close(self) -> None:
-        """Drop the payload references (releases the memory map)."""
+        """Drop one holder; the last drops the payload references, which
+        releases the memory map."""
+        with _HOLDERS_LOCK:
+            self._holders = max(0, self._holders - 1)
+            if self._holders:
+                return
         self._payload = np.zeros(0, dtype=np.uint8)
         self._grid = None
+        if self.layout == RLE:
+            self._lengths_bytes = self._payload
+            self._lengths = self._payload.view(_LENGTH_DTYPE)
+
+    def rearm(self) -> None:
+        """Forget which checksums passed, so each column is verified again
+        on its next read, as after a fresh open."""
+        self._verified = np.zeros(len(self.ids), dtype=bool)
+        self._all_verified = self._column_crcs is None
+        self._lengths_verified = False
 
     # -- sizes -------------------------------------------------------------------
 

@@ -35,6 +35,13 @@ Durability contract (driven fault by fault in ``tests/store/test_faults.py``):
   healthy segment (``strict=True`` upgrades to a raise).
 * **Damaged manifest** — the newest *valid* generation wins; each skipped
   generation is warned about (rollback), and scrub can prune the wreckage.
+* **Concurrent writers** — :func:`append_segment` and a repairing
+  :func:`scrub_store` hold the directory's one writer lock from reading the
+  manifest to committing the next, so a repair never deletes a segment an
+  append has yet to commit and no two writers race for one generation.
+
+A reader moves to a new generation with :meth:`SymbolStore.reopen`, which
+opens only the segments whose manifest record changed and shares the rest.
 
 :class:`SymbolStore` (also bound as ``SegmentedStore``) is the only store
 type.  A directory opens from its manifest; a bare ``.rsym`` file opens as a
@@ -51,8 +58,11 @@ is pure per-row work merged in task order, the same invariant
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -67,6 +77,11 @@ from . import faults
 from .checksum import crc32c, crc32c_hex
 from .format import DENSE, RLE, _Segment, _window_bounds, read_spans, verify_segments
 from .packing import bits_for_alphabet
+
+try:  # POSIX only: elsewhere the in-process lock is the only writer lock.
+    import fcntl
+except ImportError:  # pragma: no cover
+    fcntl = None
 
 __all__ = [
     "SymbolStore",
@@ -149,6 +164,34 @@ class SegmentRecord:
         )
 
 
+# -- the writer lock -------------------------------------------------------------
+
+_WRITER_LOCKS: Dict[str, threading.Lock] = {}
+_WRITER_LOCKS_GUARD = threading.Lock()
+
+
+@contextmanager
+def _writer_lock(directory: Path) -> Iterator[None]:
+    """Be the one writer of ``directory`` from reading its manifest until
+    committing the next one.
+
+    Within a process there is one lock per resolved path; across
+    processes, an exclusive ``flock`` on the directory's own descriptor,
+    which adds no file to the store.  Not reentrant.
+    """
+    key = str(directory.resolve())
+    with _WRITER_LOCKS_GUARD:
+        lock = _WRITER_LOCKS.setdefault(key, threading.Lock())
+    with lock:
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # closing the descriptor releases the flock
+
+
 # -- manifest persistence --------------------------------------------------------
 
 
@@ -229,25 +272,28 @@ def _load_manifest(path: Path) -> Dict:
     return manifest
 
 
+def _generations(directory: Path) -> List[int]:
+    """The generation of every manifest file, newest first: one directory
+    listing, no path object per entry."""
+    matches = (_MANIFEST_RE.match(name) for name in os.listdir(directory))
+    return sorted((int(match.group(1)) for match in matches if match), reverse=True)
+
+
 def _manifest_paths(directory: Path) -> List[Tuple[int, Path]]:
     """``(generation, path)`` of every manifest file, newest first."""
-    found = []
-    for entry in directory.iterdir():
-        match = _MANIFEST_RE.match(entry.name)
-        if match:
-            found.append((int(match.group(1)), entry))
-    return sorted(found, reverse=True)
+    return [(g, directory / _manifest_name(g)) for g in _generations(directory)]
 
 
 def _select_manifest(
     directory: Path, strict: bool = False
 ) -> Tuple[Dict, Path, List[Tuple[Path, CorruptStoreError]]]:
     """Newest valid manifest generation; invalid ones warned and skipped."""
-    candidates = _manifest_paths(directory)
-    if not candidates:
+    generations = _generations(directory)
+    if not generations:
         raise StoreError(f"{directory} holds no manifest: not a segmented store")
     skipped: List[Tuple[Path, CorruptStoreError]] = []
-    for generation, path in candidates:
+    for generation in generations:
+        path = directory / _manifest_name(generation)
         try:
             return _load_manifest(path), path, skipped
         except CorruptStoreError as exc:
@@ -266,10 +312,10 @@ def _select_manifest(
                 )
             )
     raise CorruptStoreError(
-        f"{directory} has {len(candidates)} manifest file(s), none valid — "
+        f"{directory} has {len(generations)} manifest file(s), none valid — "
         f"no snapshot can be served",
         path=directory, check="manifest_crc", hint="bit-rot",
-        detail={"manifests": [str(p) for _, p in candidates]},
+        detail={"manifests": [str(path) for path, _ in skipped]},
     )
 
 
@@ -297,12 +343,35 @@ class SymbolStore:
         manifest: Optional[Dict] = None,
         records: Sequence[SegmentRecord] = (),
         quarantined: Sequence[Tuple[str, str]] = (),
+        options: Optional[Dict] = None,
+        rolled_back: Sequence[str] = (),
+        shared: int = 0,
     ) -> None:
         self.path = Path(path)
         self.manifest = manifest
         self._segments = list(segments)
         self.records = list(records)
         self.quarantined = list(quarantined)
+        #: Damaged manifest files the open skipped to reach this generation.
+        self.rolled_back = list(rolled_back)
+        self._options = dict(options or {"mmap": True, "prefetch": True,
+                                         "verify": "lazy", "strict": False})
+        self._closed = False
+        #: Segments this snapshot took over from the one it was reopened
+        #: from, and segment files it opened; both are counted in the registry.
+        self.segments_shared = int(shared)
+        self.segments_opened = len(self._segments) - self.segments_shared
+        metrics = _obs_registry()
+        metrics.counter(
+            "store.segments_shared_total",
+            "Segments a snapshot took over from the one it replaced",
+        ).inc(self.segments_shared)
+        metrics.counter(
+            "store.segments_opened_total", "Segment files opened by snapshots",
+        ).inc(self.segments_opened)
+        #: The segments this snapshot appended to the one it was reopened
+        #: from; ``None`` for a cold open or any other change.
+        self.appended: Optional[List[_Segment]] = None
         if manifest is None:
             (only,) = self._segments
             self.generation: Optional[int] = None
@@ -351,16 +420,49 @@ class SymbolStore:
         ``strict=True`` turns every directory quarantine or manifest rollback
         into a raised :class:`CorruptStoreError`.
         """
-        path = Path(path)
+        options = {"mmap": mmap, "prefetch": prefetch, "verify": verify,
+                   "strict": strict}
+        return cls._open(Path(path), options, None)
+
+    def reopen(self) -> "SymbolStore":
+        """The newest committed snapshot of this store's path, opened with
+        this snapshot's options, opening only the segments that changed.
+
+        A segment whose whole manifest record (name, size, whole-file CRC,
+        windows, start window, reason) is unchanged is the *same* segment
+        object, memory map included; it stays open until both snapshots
+        close it.  Its checksums re-arm, so a column read under the new
+        snapshot is verified on its first read, as after a cold open, and
+        ``verify="eager"`` still checks every segment.  Every other record
+        opens, and quarantines, as :meth:`open` does.  A bare ``.rsym`` file
+        or a store opened without ``mmap`` reopens cold.  Unless
+        ``verify="eager"``, the reopen reads no payload byte; this snapshot
+        stays readable until it is closed.
+        """
+        return self._open(self.path, self._options, self)
+
+    @classmethod
+    def _open(
+        cls, path: Path, options: Dict, previous: Optional["SymbolStore"]
+    ) -> "SymbolStore":
+        """The one open path; ``previous`` is the snapshot a :meth:`reopen`
+        shares segments with (``None`` opens cold)."""
+        shared: Dict[str, Tuple[SegmentRecord, _Segment]] = {}
+        if previous is not None and previous.manifest is not None and options["mmap"]:
+            shared = {
+                record.name: (record, segment)
+                for record, segment in zip(previous.records, previous._segments)
+            }
+        verify, strict = options["verify"], options["strict"]
+        seg_options = {"mmap": options["mmap"], "prefetch": options["prefetch"],
+                       "verify": verify}
         if not path.is_dir():
-            segment = _Segment.open(
-                path, mmap=mmap, prefetch=prefetch, verify=verify
-            )
+            segment = _Segment.open(path, **seg_options)
             errors = verify_segments([segment])[0] if verify == "eager" else []
             if errors:
                 raise errors[0]
-            return cls(path, [segment])
-        manifest, _, _ = _select_manifest(path, strict=strict)
+            return cls(path, [segment], options=options)
+        manifest, _, skipped = _select_manifest(path, strict=strict)
         records = [SegmentRecord.from_dict(data) for data in manifest.get("segments", [])]
         segments: List[_Segment] = []
         kept: List[SegmentRecord] = []
@@ -388,7 +490,8 @@ class SymbolStore:
         # order: an open failure, a checksum failure, a manifest mismatch.
         opened: List[Union[_Segment, Exception]] = []
         for record in records:
-            seg_path = path / record.name
+            held = shared.get(record.name)
+            seg_path = path / record.name if held is None else held[1].path
             try:
                 actual_nbytes = seg_path.stat().st_size
                 if actual_nbytes != record.file_nbytes:
@@ -400,9 +503,11 @@ class SymbolStore:
                         hint="truncated" if actual_nbytes < record.file_nbytes
                         else "bit-rot",
                     )
-                opened.append(_Segment.open(
-                    seg_path, mmap=mmap, prefetch=prefetch, verify=verify
-                ))
+                if held is not None and held[0] == record and held[1].acquire():
+                    held[1].rearm()
+                    opened.append(held[1])
+                    continue
+                opened.append(_Segment.open(seg_path, **seg_options))
             except (StoreError, OSError) as exc:
                 opened.append(exc)
         live = [seg for seg in opened if isinstance(seg, _Segment)]
@@ -429,7 +534,27 @@ class SymbolStore:
                     ),
                     "mismatch",
                 )
-        return cls(path, segments, manifest, kept, quarantined)
+        taken = {id(segment) for _, segment in shared.values()}
+        store = cls(path, segments, manifest, kept, quarantined, options,
+                    rolled_back=[p.name for p, _ in skipped],
+                    shared=sum(id(seg) in taken for seg in segments))
+        store.appended = store._appended_to(previous)
+        return store
+
+    def _appended_to(self, previous: Optional["SymbolStore"]) -> Optional[List[_Segment]]:
+        """This snapshot's segments after ``previous``'s, when ``previous``'s
+        segments lead this one's (the same objects) and neither snapshot
+        quarantined a segment or rolled back a manifest; else ``None``."""
+        if previous is None or previous.manifest is None or self.manifest is None:
+            return None
+        if previous.quarantined or self.quarantined or self.rolled_back:
+            return None
+        lead = self._segments[: previous.n_segments]
+        if len(lead) < previous.n_segments or any(
+            mine is not theirs for mine, theirs in zip(lead, previous._segments)
+        ):
+            return None
+        return self._segments[previous.n_segments:]
 
     @staticmethod
     def _segment_mismatch(segment: _Segment, manifest: Dict) -> Optional[str]:
@@ -439,12 +564,17 @@ class SymbolStore:
             return (
                 f"alphabet {segment.alphabet_size} != {manifest['alphabet_size']}"
             )
-        ids = list(manifest.get("ids") or [])
+        ids = manifest.get("ids")
         if ids and segment.ids != ids:
             return "meter ids differ from the manifest's"
         return None
 
     def close(self) -> None:
+        """Release this snapshot's segments; a segment another snapshot
+        still holds stays open.  Closing twice does nothing."""
+        if self._closed:
+            return
+        self._closed = True
         for segment in self._segments:
             segment.close()
 
@@ -661,16 +791,7 @@ class SymbolStore:
         once.
         """
         if self._run_counts is None:
-            totals = np.zeros(self.n_meters, dtype=np.int64)
-            live = [seg for seg in self._segments if int(seg.counts.sum())]
-            for segment in live:
-                totals += segment.run_count_per_column()
-            for left, right in zip(live, live[1:]):
-                width = int(left.counts[0])
-                last = left.matrix(window_range=(width - 1, width)).ravel()
-                first = right.matrix(window_range=(0, 1)).ravel()
-                totals -= (last == first).astype(np.int64)
-            self._run_counts = totals
+            self._run_counts = segment_run_counts(self._segments, self.n_meters)
         return self._run_counts
 
     def run_count_per_column(self) -> np.ndarray:
@@ -777,6 +898,32 @@ class SymbolStore:
 SegmentedStore = SymbolStore
 
 
+def segment_run_counts(
+    segments: Sequence[_Segment],
+    n_columns: int,
+    previous: Optional[_Segment] = None,
+) -> np.ndarray:
+    """Run count per column over ``segments`` laid end to end.
+
+    Each segment adds its own run counts, and a run that continues across
+    a boundary counts once.  ``previous`` is the non-empty segment just
+    before ``segments``, whose runs are counted elsewhere: a run continuing
+    from it into the first of them also counts once.  Empty segments are
+    skipped.
+    """
+    totals = np.zeros(int(n_columns), dtype=np.int64)
+    live = [seg for seg in segments if int(seg.counts.sum())]
+    for segment in live:
+        totals += segment.run_count_per_column()
+    chain = ([previous] if previous is not None else []) + live
+    for left, right in zip(chain, chain[1:]):
+        width = int(left.counts[0])
+        last = left.matrix(window_range=(width - 1, width)).ravel()
+        first = right.matrix(window_range=(0, 1)).ravel()
+        totals -= (last == first).astype(np.int64)
+    return totals
+
+
 # -- writers ---------------------------------------------------------------------
 
 
@@ -792,11 +939,6 @@ def create_segmented_store(
     if layout not in (DENSE, RLE):
         raise StoreError(f"layout must be {DENSE!r} or {RLE!r}, got {layout!r}")
     directory.mkdir(parents=True, exist_ok=True)
-    if _manifest_paths(directory):
-        raise StoreError(
-            f"{directory} already holds a segmented store; open it or append "
-            f"instead of re-creating"
-        )
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -807,7 +949,13 @@ def create_segmented_store(
         "metadata": dict(metadata or {}),
         "segments": [],
     }
-    _write_manifest(directory, manifest)
+    with _writer_lock(directory):
+        if _generations(directory):
+            raise StoreError(
+                f"{directory} already holds a segmented store; open it or "
+                f"append instead of re-creating"
+            )
+        _write_manifest(directory, manifest)
     return SymbolStore.open(directory)
 
 
@@ -837,64 +985,65 @@ def append_segment(
     from .fleet import _meter_shards, _write_shards
 
     directory = Path(directory)
-    manifest, _, _ = _select_manifest(directory)
-    matrix = np.asarray(indices, dtype=np.int64)
-    if matrix.ndim != 2:
-        raise StoreError(f"expected a 2-D (meters, windows) matrix, got {matrix.shape}")
-    ids = manifest.get("ids")
-    if ids is None:
-        ids = list(range(matrix.shape[0]))
-    if matrix.shape[0] != len(ids):
-        raise StoreError(
-            f"segment has {matrix.shape[0]} rows for {len(ids)} manifest ids"
-        )
-    layout = manifest["layout"]
-    alphabet_size = int(manifest["alphabet_size"])
-    known = [
-        int(_SEGMENT_RE.match(rec["name"]).group(1))
-        for rec in manifest.get("segments", [])
-        if _SEGMENT_RE.match(rec["name"])
-    ]
-    sequence = max(known) + 1 if known else 0
-    start_window = sum(int(rec["windows"]) for rec in manifest.get("segments", []))
-    name = _segment_name(sequence)
-    if tables is not None and not isinstance(tables, LookupTable):
-        tables = list(tables)
-        if len(tables) == 1:
-            tables = tables[0]
-        elif len(tables) != len(ids):
-            raise StoreError(f"{len(tables)} tables for {len(ids)} meters")
-
-    seg_meta = dict(manifest.get("metadata") or {})
-    seg_meta.update({"segment": name, "start_window": int(start_window),
-                     "reason": reason})
-    bits = bits_for_alphabet(alphabet_size)
-    with ParallelExecutor(workers) as executor:
-        tasks = [
-            StoreShardTask(matrix[lo:hi], bits, layout)
-            for lo, hi in _meter_shards(matrix.shape[0], executor.workers)
+    with _writer_lock(directory):
+        manifest, _, _ = _select_manifest(directory)
+        matrix = np.asarray(indices, dtype=np.int64)
+        if matrix.ndim != 2:
+            raise StoreError(f"expected a 2-D (meters, windows) matrix, got {matrix.shape}")
+        ids = manifest.get("ids")
+        if ids is None:
+            ids = list(range(matrix.shape[0]))
+        if matrix.shape[0] != len(ids):
+            raise StoreError(
+                f"segment has {matrix.shape[0]} rows for {len(ids)} manifest ids"
+            )
+        layout = manifest["layout"]
+        alphabet_size = int(manifest["alphabet_size"])
+        known = [
+            int(_SEGMENT_RE.match(rec["name"]).group(1))
+            for rec in manifest.get("segments", [])
+            if _SEGMENT_RE.match(rec["name"])
         ]
-        _write_shards(
-            directory / name, executor, tasks, ids, alphabet_size, layout,
-            tables, seg_meta,
+        sequence = max(known) + 1 if known else 0
+        start_window = sum(int(rec["windows"]) for rec in manifest.get("segments", []))
+        name = _segment_name(sequence)
+        if tables is not None and not isinstance(tables, LookupTable):
+            tables = list(tables)
+            if len(tables) == 1:
+                tables = tables[0]
+            elif len(tables) != len(ids):
+                raise StoreError(f"{len(tables)} tables for {len(ids)} meters")
+
+        seg_meta = dict(manifest.get("metadata") or {})
+        seg_meta.update({"segment": name, "start_window": int(start_window),
+                         "reason": reason})
+        bits = bits_for_alphabet(alphabet_size)
+        with ParallelExecutor(workers) as executor:
+            tasks = [
+                StoreShardTask(matrix[lo:hi], bits, layout)
+                for lo, hi in _meter_shards(matrix.shape[0], executor.workers)
+            ]
+            _write_shards(
+                directory / name, executor, tasks, ids, alphabet_size, layout,
+                tables, seg_meta,
+            )
+        seg_path = directory / name
+        record = SegmentRecord(
+            name=name,
+            file_nbytes=seg_path.stat().st_size,
+            crc32c=crc32c_hex(_file_crc32c(seg_path)),
+            n_columns=matrix.shape[0],
+            windows=matrix.shape[1],
+            start_window=start_window,
+            n_symbols=int(matrix.size),
+            reason=reason,
         )
-    seg_path = directory / name
-    record = SegmentRecord(
-        name=name,
-        file_nbytes=seg_path.stat().st_size,
-        crc32c=crc32c_hex(_file_crc32c(seg_path)),
-        n_columns=matrix.shape[0],
-        windows=matrix.shape[1],
-        start_window=start_window,
-        n_symbols=int(matrix.size),
-        reason=reason,
-    )
-    faults.checkpoint("segments.before_manifest")
-    manifest = dict(manifest)
-    manifest["generation"] = int(manifest["generation"]) + 1
-    manifest["ids"] = list(ids)
-    manifest["segments"] = list(manifest.get("segments", [])) + [record.to_dict()]
-    _write_manifest(directory, manifest)
+        faults.checkpoint("segments.before_manifest")
+        manifest = dict(manifest)
+        manifest["generation"] = int(manifest["generation"]) + 1
+        manifest["ids"] = list(ids)
+        manifest["segments"] = list(manifest.get("segments", [])) + [record.to_dict()]
+        _write_manifest(directory, manifest)
     metrics = _obs_registry()
     metrics.counter(
         "store.segment_commits_total",
@@ -987,8 +1136,8 @@ def snapshot_stamp(path: Union[str, Path]):
     """
     path = Path(path)
     if path.is_dir():
-        manifests = _manifest_paths(path)
-        return manifests[0][0] if manifests else -1
+        generations = _generations(path)
+        return generations[0] if generations else -1
     stat = path.stat()
     return (stat.st_mtime_ns, stat.st_size)
 
@@ -1110,119 +1259,122 @@ def scrub_store(
         return _scrub_file(path, repair)
     if not path.is_dir():
         raise StoreError(f"no such store: {path}")
-    report = ScrubReport(path=str(path), repair=repair)
+    # A repair is a writer: it must not delete an append's segment before
+    # that append commits, nor commit over a generation it did not read.
+    with _writer_lock(path) if repair else nullcontext():
+        report = ScrubReport(path=str(path), repair=repair)
 
-    manifests = _manifest_paths(path)
-    if not manifests:
-        raise StoreError(f"{path} holds no manifest: not a segmented store")
-    valid: List[Tuple[int, Path, Dict]] = []
-    for generation, manifest_path in manifests:
-        try:
-            valid.append((generation, manifest_path, _load_manifest(manifest_path)))
-        except CorruptStoreError:
-            report.invalid_manifests.append(manifest_path.name)
+        manifests = _manifest_paths(path)
+        if not manifests:
+            raise StoreError(f"{path} holds no manifest: not a segmented store")
+        valid: List[Tuple[int, Path, Dict]] = []
+        for generation, manifest_path in manifests:
+            try:
+                valid.append((generation, manifest_path, _load_manifest(manifest_path)))
+            except CorruptStoreError:
+                report.invalid_manifests.append(manifest_path.name)
+                if repair:
+                    try:
+                        manifest_path.unlink()
+                        report.removed.append(manifest_path.name)
+                    except OSError:
+                        pass
+        if not valid:
+            raise CorruptStoreError(
+                f"{path}: every manifest is damaged; nothing to serve",
+                path=path, check="manifest_crc", hint="bit-rot",
+            )
+        generation, _, manifest = valid[0]
+        report.generation = generation
+        # Never reuse a generation number, even one an *invalid* manifest burned.
+        next_generation = manifests[0][0] + 1
+
+        # Names any surviving manifest still references must not be GC'd: an old
+        # generation may legitimately be rolled back to.
+        live_names = {
+            rec["name"] for _, _, m in valid for rec in m.get("segments", [])
+        }
+
+        healthy: List[Dict] = []
+        for rec in manifest.get("segments", []):
+            record = SegmentRecord.from_dict(rec)
+            seg_path = path / record.name
+            error: Optional[str] = None
+            try:
+                actual_nbytes = seg_path.stat().st_size
+                if actual_nbytes != record.file_nbytes:
+                    error = (
+                        f"{actual_nbytes} bytes on disk, manifest records "
+                        f"{record.file_nbytes}"
+                    )
+                else:
+                    actual_crc = crc32c_hex(_file_crc32c(seg_path))
+                    if actual_crc != record.crc32c:
+                        error = (
+                            f"whole-file crc32c {actual_crc} != recorded "
+                            f"{record.crc32c}"
+                        )
+                    else:
+                        with SymbolStore.open(seg_path, verify="off") as store:
+                            result = store.verify(strict=False)
+                        if result["errors"]:
+                            error = "; ".join(str(e) for e in result["errors"])
+                report.segments_checked += 1
+                report.bytes_checked += record.file_nbytes
+            except (StoreError, OSError) as exc:
+                error = str(exc)
+                report.segments_checked += 1
+            if error is None:
+                healthy.append(rec)
+                continue
+            report.corrupt_segments.append((record.name, error))
             if repair:
+                quarantine = path / _QUARANTINE_DIR
+                quarantine.mkdir(exist_ok=True)
+                try:
+                    seg_path.replace(quarantine / record.name)
+                    report.quarantined.append(record.name)
+                except OSError:
+                    pass  # already gone (e.g. quarantined by an earlier pass)
+                live_names.discard(record.name)
+
+        # Orphans: committed segment files no surviving manifest references.
+        for entry in sorted(path.iterdir()):
+            if _SEGMENT_RE.match(entry.name) and entry.name not in live_names:
+                if any(entry.name == name for name, _ in report.corrupt_segments):
+                    continue
+                report.orphan_segments.append(entry.name)
+                if repair:
+                    try:
+                        entry.unlink()
+                        report.removed.append(entry.name)
+                    except OSError:
+                        pass
+            elif entry.name.endswith(".tmp"):
+                report.stale_temps.append(entry.name)
+                if repair:
+                    try:
+                        entry.unlink()
+                        report.removed.append(entry.name)
+                    except OSError:
+                        pass
+
+        if repair and report.corrupt_segments:
+            new_manifest = dict(manifest)
+            new_manifest["generation"] = next_generation
+            new_manifest["segments"] = healthy
+            _write_manifest(path, new_manifest)
+            report.new_generation = next_generation
+
+        if repair and keep_generations is not None and keep_generations >= 1:
+            survivors = _manifest_paths(path)
+            for _, manifest_path in survivors[int(keep_generations):]:
                 try:
                     manifest_path.unlink()
+                    report.pruned_manifests.append(manifest_path.name)
                     report.removed.append(manifest_path.name)
                 except OSError:
                     pass
-    if not valid:
-        raise CorruptStoreError(
-            f"{path}: every manifest is damaged; nothing to serve",
-            path=path, check="manifest_crc", hint="bit-rot",
-        )
-    generation, _, manifest = valid[0]
-    report.generation = generation
-    # Never reuse a generation number, even one an *invalid* manifest burned.
-    next_generation = manifests[0][0] + 1
-
-    # Names any surviving manifest still references must not be GC'd: an old
-    # generation may legitimately be rolled back to.
-    live_names = {
-        rec["name"] for _, _, m in valid for rec in m.get("segments", [])
-    }
-
-    healthy: List[Dict] = []
-    for rec in manifest.get("segments", []):
-        record = SegmentRecord.from_dict(rec)
-        seg_path = path / record.name
-        error: Optional[str] = None
-        try:
-            actual_nbytes = seg_path.stat().st_size
-            if actual_nbytes != record.file_nbytes:
-                error = (
-                    f"{actual_nbytes} bytes on disk, manifest records "
-                    f"{record.file_nbytes}"
-                )
-            else:
-                actual_crc = crc32c_hex(_file_crc32c(seg_path))
-                if actual_crc != record.crc32c:
-                    error = (
-                        f"whole-file crc32c {actual_crc} != recorded "
-                        f"{record.crc32c}"
-                    )
-                else:
-                    with SymbolStore.open(seg_path, verify="off") as store:
-                        result = store.verify(strict=False)
-                    if result["errors"]:
-                        error = "; ".join(str(e) for e in result["errors"])
-            report.segments_checked += 1
-            report.bytes_checked += record.file_nbytes
-        except (StoreError, OSError) as exc:
-            error = str(exc)
-            report.segments_checked += 1
-        if error is None:
-            healthy.append(rec)
-            continue
-        report.corrupt_segments.append((record.name, error))
-        if repair:
-            quarantine = path / _QUARANTINE_DIR
-            quarantine.mkdir(exist_ok=True)
-            try:
-                seg_path.replace(quarantine / record.name)
-                report.quarantined.append(record.name)
-            except OSError:
-                pass  # already gone (e.g. quarantined by an earlier pass)
-            live_names.discard(record.name)
-
-    # Orphans: committed segment files no surviving manifest references.
-    for entry in sorted(path.iterdir()):
-        if _SEGMENT_RE.match(entry.name) and entry.name not in live_names:
-            if any(entry.name == name for name, _ in report.corrupt_segments):
-                continue
-            report.orphan_segments.append(entry.name)
-            if repair:
-                try:
-                    entry.unlink()
-                    report.removed.append(entry.name)
-                except OSError:
-                    pass
-        elif entry.name.endswith(".tmp"):
-            report.stale_temps.append(entry.name)
-            if repair:
-                try:
-                    entry.unlink()
-                    report.removed.append(entry.name)
-                except OSError:
-                    pass
-
-    if repair and report.corrupt_segments:
-        new_manifest = dict(manifest)
-        new_manifest["generation"] = next_generation
-        new_manifest["segments"] = healthy
-        _write_manifest(path, new_manifest)
-        report.new_generation = next_generation
-
-    if repair and keep_generations is not None and keep_generations >= 1:
-        survivors = _manifest_paths(path)
-        for _, manifest_path in survivors[int(keep_generations):]:
-            try:
-                manifest_path.unlink()
-                report.pruned_manifests.append(manifest_path.name)
-                report.removed.append(manifest_path.name)
-            except OSError:
-                pass
     metrics = _obs_registry()
     metrics.counter(
         "store.scrub_runs_total", "scrub_store invocations on directories",

@@ -1,0 +1,229 @@
+"""``QueryEngine.reopen`` carries its summaries forward, and they equal a cold open's.
+
+Across random sequences of appends (zero-width ones included), drift-cut
+appends with a new table epoch, scrub quarantines and manifest rollbacks,
+the reopened engine's index, whole-fleet histograms and peaks, and run
+counts equal those of a cold ``QueryEngine.open`` followed by
+``build_query_index`` at every generation: on the carried path, and on
+every fallback (a quarantine, a rollback, no ``windows_per_day``, columns
+shorter than one day).
+"""
+
+from __future__ import annotations
+
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.lookup import LookupTable
+from repro.obs import registry, span, tracer
+from repro.obs.trace import recent_traces
+from repro.query import ColumnSource, QueryEngine
+from repro.query.index import build_query_index, write_query_index
+from repro.store import SymbolStore, append_segment, faults, scrub_store, write_segmented_fleet
+
+N_METERS, ALPHABET, PER_DAY = 7, 8, 24
+
+STEPS = ("append", "append", "append", "empty", "drift", "scrub", "rollback")
+
+
+def _write(directory: Path, windows: int, per_day: bool, seed: int) -> None:
+    values = np.random.default_rng(seed).normal(size=(N_METERS, windows)).cumsum(axis=1)
+    write_segmented_fleet(
+        directory, values, alphabet_size=ALPHABET, segment_windows=PER_DAY // 2,
+        sampling_interval=3600.0 if per_day else None,
+    ).close()
+
+
+def _step(directory: Path, engine: QueryEngine, step: str, rng) -> None:
+    store = engine.store
+    if step in ("append", "empty", "drift"):
+        width = 0 if step == "empty" else int(rng.integers(1, 7))
+        table = store.shared_table
+        if step == "drift":
+            table = LookupTable.fit(rng.normal(size=200), ALPHABET)
+        append_segment(
+            directory, rng.integers(0, ALPHABET, size=(N_METERS, width)),
+            tables=table, reason=step,
+        )
+    elif step == "scrub":
+        live = [seg for seg in store.segments if seg.counts.any()]
+        if live:
+            victim = live[int(rng.integers(len(live)))]
+            faults.flip_bit(victim.path, len(b"RSYMSTR1") + int(victim.offsets[-1]))
+            scrub_store(directory, repair=True)
+    elif step == "rollback" and store.generation >= 3:
+        newest = directory / f"manifest-{store.generation:010d}.json"
+        faults.flip_bit(newest, 12)
+
+
+def _warm(engine: QueryEngine, rng) -> None:
+    """Fill some of the summaries a reload may carry."""
+    if rng.random() < 0.5:
+        engine.index()
+    if rng.random() < 0.6:
+        engine.aggregate()
+    if rng.random() < 0.3:
+        engine.store.run_count_per_column()
+
+
+def _assert_equals_cold(engine: QueryEngine, directory: Path) -> None:
+    cold = QueryEngine.open(directory)
+    try:
+        reference = build_query_index(cold.store)
+        scan = ColumnSource(cold.store).column_stats()
+        runs = cold.store.run_count_per_column()
+    finally:
+        cold.close()
+    index = engine._index
+    if index is not None:
+        assert index.fingerprint == reference.fingerprint
+        assert index.windows_per_day == reference.windows_per_day
+        assert np.array_equal(index.band_histograms, reference.band_histograms)
+        assert np.array_equal(index.first_symbols, reference.first_symbols)
+        assert np.array_equal(index.min_symbols, reference.min_symbols)
+        assert np.array_equal(index.max_symbols, reference.max_symbols)
+    source = engine.source
+    if source._column_stats is not None:
+        assert np.array_equal(source._column_stats[0], scan[0])
+        assert np.array_equal(source._column_stats[1], scan[1])
+    hist, peaks = source.column_stats()
+    assert np.array_equal(hist, scan[0]) and np.array_equal(peaks, scan[1])
+    assert np.array_equal(source.run_counts(), runs)
+
+
+def _run(steps, per_day: bool, days: float, seed: int) -> int:
+    """Apply ``steps``, reopening and checking after each; return how many
+    reloads carried their summaries."""
+    rng = np.random.default_rng(seed)
+    carried = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "fleet.rsyms"
+        _write(directory, int(days * PER_DAY), per_day, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if rng.random() < 0.5:
+                with SymbolStore.open(directory) as store:
+                    write_query_index(store)
+            engine = QueryEngine.open(directory)
+            try:
+                for step in steps:
+                    _warm(engine, rng)
+                    _step(directory, engine, step, rng)
+                    reopened = engine.reopen()
+                    engine.close()
+                    engine = reopened
+                    carried += engine.store.appended is not None
+                    _assert_equals_cold(engine, directory)
+            finally:
+                engine.close()
+    return carried
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=8),
+    per_day=st.booleans(),
+    days=st.sampled_from([0.5, 1.0, 2.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_carried_summaries_equal_a_cold_open(steps, per_day, days, seed):
+    _run(steps, per_day, days, seed)
+
+
+@pytest.mark.parametrize("per_day,days", [
+    (True, 2.5),      # the index folds by day and carries
+    (True, 0.5),      # shorter than a day: the index is rebuilt, the rest carries
+    (False, 2.5),     # contiguous bands: the index is rebuilt, the rest carries
+])
+def test_appends_alone_always_carry(per_day, days):
+    steps = ["append", "empty", "append", "drift", "append"]
+    assert _run(steps, per_day, days, seed=17) == len(steps)
+
+
+def test_the_carried_index_is_the_old_one_plus_the_share(tmp_path):
+    directory = tmp_path / "fleet.rsyms"
+    _write(directory, 3 * PER_DAY, True, seed=3)
+    engine = QueryEngine.open(directory)
+    engine.index()
+    engine.aggregate()
+    rng = np.random.default_rng(4)
+    append_segment(directory, rng.integers(0, ALPHABET, size=(N_METERS, 5)),
+                   tables=engine.store.shared_table)
+    reopened = engine.reopen()
+    try:
+        assert reopened._index is not None
+        assert reopened.source.stats.columns_decoded == N_METERS  # the share only
+        assert reopened.store.segments_opened == 1
+    finally:
+        engine.close()
+        reopened.close()
+
+
+def test_an_index_with_other_bands_is_not_carried(tmp_path):
+    """A sidecar written with 4 bands goes stale on append; a cold open
+    rebuilds with the default bands, so the reload must not keep 4."""
+    directory = tmp_path / "fleet.rsyms"
+    _write(directory, 3 * PER_DAY, True, seed=6)
+    with SymbolStore.open(directory) as store:
+        write_query_index(store, n_bands=4)
+    engine = QueryEngine.open(directory)
+    assert engine._index.n_bands == 4
+    engine.aggregate()
+    append_segment(directory, np.ones((N_METERS, 4), dtype=np.int64),
+                   tables=engine.store.shared_table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reopened = engine.reopen()
+        cold = QueryEngine.open(directory)
+    try:
+        assert reopened.store.appended is not None and reopened._index is None
+        a = reopened.private_aggregate(k_anon=3)
+        b = cold.private_aggregate(k_anon=3)
+        assert np.array_equal(a.band_profile, b.band_profile)
+        _assert_equals_cold(reopened, directory)
+    finally:
+        engine.close()
+        reopened.close()
+        cold.close()
+
+
+def test_reopen_span_carries_the_counter_deltas(tmp_path):
+    directory = tmp_path / "fleet.rsyms"
+    _write(directory, 2 * PER_DAY, True, seed=5)
+    trace = tracer()
+    was_enabled = trace.enabled
+    trace.enable()
+    reg = registry()
+    engine = QueryEngine.open(directory)
+    try:
+        engine.aggregate()
+        append_segment(
+            directory, np.zeros((N_METERS, 4), dtype=np.int64),
+            tables=engine.store.shared_table,
+        )
+        shared = reg.counter_value("store.segments_shared_total")
+        opened = reg.counter_value("store.segments_opened_total")
+        with span("test.reload"):
+            reopened = engine.reopen()
+        (root,) = recent_traces(1)
+        (reload,) = [c for c in root["children"] if c["name"] == "store.reopen"]
+        attributes = reload["attributes"]
+        assert attributes["segments_shared"] == (
+            reg.counter_value("store.segments_shared_total") - shared
+        ) == engine.store.n_segments
+        assert attributes["segments_opened"] == (
+            reg.counter_value("store.segments_opened_total") - opened
+        ) == 1
+        assert attributes["summaries"] == "carried"
+        assert attributes["generation"] == reopened.store.generation
+        reopened.close()
+    finally:
+        engine.close()
+        if not was_enabled:
+            trace.disable()
