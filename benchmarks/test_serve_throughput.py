@@ -9,7 +9,10 @@ matter for capacity planning and each entry's ``extra_info`` carries them:
 * the shed behaviour at 2x capacity — overload must convert to fast,
   structured 429/503 responses, not convoying latency;
 * the overhead of degraded serving (a quarantined segment) relative to a
-  healthy store.
+  healthy store;
+* kNN request vectors through both wire ends (client body build and
+  ``json.dumps``, server ``parse_body`` and ``KNNParams.from_body``), with
+  no HTTP and no engine.
 
 CI runs this file with ``--benchmark-json=BENCH_serve.json``; floors live
 in ``perf_floors.json`` next to the other suites.
@@ -17,6 +20,7 @@ in ``perf_floors.json`` next to the other suites.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -24,7 +28,14 @@ import numpy as np
 import pytest
 
 from repro.errors import Overloaded, RateLimited
-from repro.serve import QueryServer, RetryPolicy, ServeClient, ServerConfig
+from repro.query.verbs import KNNParams
+from repro.serve import (
+    QueryServer,
+    RetryPolicy,
+    ServeClient,
+    ServerConfig,
+    protocol,
+)
 from repro.store import faults, write_segmented_fleet
 
 N_METERS = 64
@@ -183,3 +194,20 @@ def test_degraded_serving_overhead(benchmark, fleet_dir, tmp_path_factory):
         benchmark.extra_info["degraded_ms_per_query"] = 1e3 * degraded_s
         benchmark.extra_info["degraded_overhead_x"] = degraded_s / healthy_s
         benchmark.extra_info["degraded_queries_per_s"] = 1.0 / degraded_s
+
+
+def test_knn_request_wire_throughput(benchmark):
+    """One 32 x 2 880 kNN request (the bench's knn-batch size) from params
+    to the server's params: what the wire format costs per vector."""
+    queries = np.random.default_rng(29).normal(size=(32, 2880)).cumsum(axis=1)
+
+    def round_trip():
+        raw = json.dumps(KNNParams(queries).to_body()).encode("utf-8")
+        return KNNParams.from_body(protocol.parse_body(raw))
+
+    params = benchmark.pedantic(round_trip, rounds=10, iterations=1,
+                                warmup_rounds=1)
+    assert params.queries.tobytes() == queries.tobytes()
+    benchmark.extra_info["vectors_per_s"] = (
+        len(queries) / benchmark.stats.stats.mean
+    )

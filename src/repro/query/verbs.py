@@ -6,10 +6,14 @@ the ``ServeClient`` method and the ``repro query`` route — to a
 codec.  The params' field defaults are *the* defaults (``QueryConfig``, the
 engine's keywords, the server, the client and the CLI flags read them from
 here) and :meth:`Params.from_body` is the only request check of a query
-verb (HTTP 400 on a bad field).  Floats pass through ``json`` with ``repr``
-round-tripping, so a served body equals ``verb.answer(engine, params)`` on
-the same store and remote CLI output equals local output by construction.
-A new verb is one entry here, its operator and a CLI renderer.
+verb (HTTP 400 on a bad field).  kNN query vectors travel as their own
+bytes: the client sends ``queries`` packed, ``{"shape": [Q, T] or [T],
+"float64": <base64 of the little-endian doubles, row-major>}``, and the
+server also takes nested lists of JSON numbers, for hand-written requests.
+Response floats pass through ``json`` with ``repr`` round-tripping.  So a
+served body equals ``verb.answer(engine, params)`` on the same store, and
+remote CLI output equals local output, by construction.  A new verb is one
+entry here, its operator and a CLI renderer.
 
 The engine reads its defaults from here, so this module imports the engine
 only inside :meth:`KNNParams.keywords`; it never imports :mod:`repro.serve`.
@@ -17,6 +21,8 @@ only inside :meth:`KNNParams.keywords`; it never imports :mod:`repro.serve`.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
@@ -55,18 +61,75 @@ def _typed(expected: str, accepts: Callable[[Any], bool]):
 
 
 def _queries(name: str, value) -> np.ndarray:
+    """``queries`` as a fresh, writable float64 C array, or a 400.
+
+    ``value`` is the packed object, nested lists of JSON numbers or, on the
+    client, a numeric array.  A string, boolean or null is refused, never
+    read as a number.
+    """
     if value is None:
         raise BadRequest(f"request body needs a '{name}' field")
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise BadRequest(f"'{name}' is not numeric: {exc}")
+    if type(value) is dict:
+        arr = _unpack(name, value)
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = np.array(value, dtype=np.float64, order="C")
+    else:
+        arr = _number_lists(name, _listify(value))
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise BadRequest(
             f"'{name}' must be one vector or a batch of vectors, "
             f"got shape {arr.shape}"
         )
     return arr
+
+
+def _number_lists(name: str, value) -> np.ndarray:
+    """Nested lists of JSON numbers as float64.  ``np.array`` alone would
+    read ``"1.5"``, ``true`` and ``null`` as numbers; a JSON number is an
+    int or a float."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadRequest(f"'{name}' is not numeric: {exc}")
+    rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
+    if any(type(v) not in (int, float) for row in rows for v in row):
+        raise BadRequest(
+            f"'{name}' must hold numbers only, not strings, booleans or nulls"
+        )
+    return arr
+
+
+def _unpack(name: str, value: Dict[str, Any]) -> np.ndarray:
+    """The packed form: ``shape`` and the base64 of the little-endian
+    float64 bytes, row-major."""
+    if value.keys() != {"shape", "float64"}:
+        raise BadRequest(
+            f"packed '{name}' must have exactly the keys 'shape' and 'float64'"
+        )
+    shape = value["shape"]
+    if (type(shape) is not list or len(shape) not in (1, 2)
+            or any(type(n) is not int or n < 1 for n in shape)):
+        raise BadRequest(
+            f"'{name}.shape' must be a list of one or two positive integers"
+        )
+    try:
+        raw = base64.b64decode(value["float64"], validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not base64
+        raise BadRequest(f"'{name}.float64' is not a base64 string: {exc}")
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise BadRequest(f"'{name}.float64' holds {len(raw)} bytes; shape "
+                         f"{shape} needs {nbytes}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _pack(queries) -> Dict[str, Any]:
+    """``queries`` in the packed form, after the server's own check, so a
+    value the server would refuse raises the same 400 before it is sent."""
+    arr = _queries("queries", queries)
+    raw = arr.astype("<f8", copy=False).tobytes()
+    return {"shape": list(arr.shape),
+            "float64": base64.b64encode(raw).decode("ascii")}
 
 
 def _plain(value) -> Any:
@@ -90,7 +153,7 @@ BOOLEAN = Wire(_typed("true or false", lambda v: type(v) is bool), bool)
 NUMBER = Wire(_typed("a number", lambda v: type(v) in (int, float)), float)
 ID_LIST = Wire(_typed("a list", lambda v: type(v) is list),
                lambda ids: list(_listify(ids)))
-QUERIES = Wire(_queries, _listify)
+QUERIES = Wire(_queries, _pack)
 PATTERN = Wire(
     _typed("a non-empty string", lambda v: type(v) is str and v != ""), str
 )

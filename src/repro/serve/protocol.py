@@ -4,9 +4,12 @@ Each query verb's half lives in :mod:`repro.query.verbs`: its params
 dataclass checks a request body (:class:`~repro.errors.BadRequest`, HTTP
 400, never a ``TypeError`` leaking as a 500) and builds one, and its codec
 turns the engine's report into plain JSON.  The codecs are bound here under
-their wire names (``knn_body``, ``match_body``, ...).  Floats pass through
-``json`` with ``repr`` round-tripping, so a value decoded from a response
-is bit-identical to the library result — the parity tests pin this.
+their wire names (``knn_body``, ``match_body``, ...).  Request vectors
+travel as their own bytes: the client sends kNN ``queries`` as base64 of
+little-endian float64 (``{"shape", "float64"}``), and nested lists of
+numbers are accepted too.  Response floats pass through ``json`` with
+``repr`` round-tripping.  So a value decoded from a response is
+bit-identical to the library result — the parity tests pin this.
 
 This module owns the rest: request and response bytes (:func:`parse_body`,
 :func:`dumps`), the ``/stores/<name>`` description, and
@@ -82,7 +85,8 @@ def parse_body(raw: bytes) -> Dict[str, Any]:
 
 
 def parse_queries(body: Dict[str, Any]) -> np.ndarray:
-    """The ``queries`` field as a float64 array, 400 on bad shape/values."""
+    """The ``queries`` field, packed or nested lists, as a float64 array;
+    400 on a bad shape, value or packing."""
     return QUERIES.check("queries", body.get("queries"))
 
 

@@ -28,7 +28,9 @@
 * **idempotent appends** — ``POST /stores/<name>/append`` with an
   ``idempotency_key`` stores the key in the committed segment's manifest
   ``reason``, so a client retry after a crash (even SIGKILL) finds the
-  key and returns the original result instead of appending twice.
+  key and returns the original result instead of appending twice.  The
+  appended segment carries the lookup tables of the store's newest live
+  segment, so ``knn`` and ``private_agg`` keep answering after it.
 
 Fault seams: handlers pass ``serve.handle`` (checkpoint) after admission
 and write response bodies through ``faults.write(..., "serve.response")``,
@@ -647,7 +649,10 @@ class _Handler(BaseHTTPRequestHandler):
                     ).inc()
                     self._send(200, dict(prior, duplicate=True))
                     return
-            record = append_segment(handle.path, matrix, reason=reason)
+            record = append_segment(
+                handle.path, matrix, tables=self._epoch_tables(handle),
+                reason=reason,
+            )
             obs_registry().counter("serve.appends_total").inc()
             generation = snapshot_stamp(handle.path)
         self._send(200, {
@@ -657,6 +662,18 @@ class _Handler(BaseHTTPRequestHandler):
             "generation": int(generation),
             "duplicate": False,
         })
+
+    @staticmethod
+    def _epoch_tables(handle: _StoreHandle):
+        """The lookup tables of the store's newest live segment, which an
+        appended segment carries: the table epoch its symbols are read
+        under (``None`` when the store has no tables or no segment)."""
+        snapshot = handle.lease()
+        try:
+            segments = snapshot.engine.store.segments
+            return segments[-1].tables if segments else None
+        finally:
+            snapshot.release()
 
     @staticmethod
     def _find_append(path: Path, reason: str) -> Optional[Dict]:

@@ -6,10 +6,11 @@ summaries.  After 1, 5 and 40 appends every verb's wire body must equal the
 codec output of a cold in-process engine at the same generation — on a
 store with ``windows_per_day`` (the index carries) and on one without it
 (the index is rebuilt), with the served verbs asked in one fixed order so
-both sides build an in-memory index at the same point.  HTTP appends carry
-no lookup table, so the table-bound verbs (``knn``, ``private_agg``) must
-refuse alike on both sides; appends that do carry the store's table, and
-ones that cut a new table epoch, are checked the same way.
+both sides build an in-memory index at the same point.  An HTTP append
+carries the table of the store's newest segment, so the table-bound verbs
+(``knn``, ``private_agg``) answer too; appends made in process with the
+store's table, and ones that cut a new table epoch, are checked the same
+way.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ def test_http_appends_answer_like_a_cold_engine(tmp_path, per_day):
         for i in range(1, max(CHECKS) + 1):
             client.append("fleet", _hour(i), idempotency_key=f"hour-{i}")
             if i in CHECKS:
-                # HTTP appends carry no table: knn and private_agg refuse.
-                assert _assert_parity(client, directory, ORDER) == len(TABLE_FREE)
+                assert _assert_parity(client, directory, ORDER) == len(ORDER)
             else:
                 assert _assert_parity(client, directory, ("agg",)) == 1
         # The last reload was an append of the snapshot before it.
@@ -158,3 +158,15 @@ def test_an_append_then_a_read_opens_one_segment(tmp_path):
     assert reload["attributes"]["segments_opened"] == 1
     assert reload["attributes"]["segments_shared"] == DAYS
     assert reload["attributes"]["summaries"] == "carried"
+
+
+def test_an_http_append_carries_the_newest_table_epoch(tmp_path):
+    directory = _store(tmp_path, True)
+    epoch = LookupTable.fit(np.random.default_rng(7).normal(size=500), ALPHABET)
+    with QueryServer({"fleet": directory}, ServerConfig(tracing=False)) as server:
+        append_segment(directory, _hour(1), tables=epoch, reason="drift")
+        ServeClient(server.url, timeout=30.0).append("fleet", _hour(2))
+    with SymbolStore.open(directory) as store:
+        first, *_, drift, appended = store.segments
+        assert drift.tables == epoch and appended.tables == epoch
+        assert first.tables != epoch

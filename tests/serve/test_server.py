@@ -29,11 +29,13 @@ from repro.errors import (
 )
 from repro.obs import registry as obs_registry
 from repro.query import QueryConfig, QueryEngine
+from repro.query.verbs import KNNParams
 from repro.serve import (
     QueryServer,
     RetryPolicy,
     ServeClient,
     ServerConfig,
+    protocol,
 )
 from repro.store import append_segment, faults
 from repro.store.faults import FaultPlan
@@ -206,6 +208,64 @@ class TestStructuredErrors:
             with pytest.raises((UnknownStore, BadRequest)):
                 bad.agg("nope")
         assert client.healthz()["ok"] is True
+
+
+_DROP = object()
+
+
+def _packed(**change):
+    """A valid packed one-vector ``queries`` with ``change`` applied
+    (``_DROP`` removes a key)."""
+    packed = KNNParams(fleet_values()[0]).to_body()["queries"]
+    packed.update(change)
+    return {key: value for key, value in packed.items() if value is not _DROP}
+
+
+class TestQueryWireForms:
+    """``queries`` travels packed from the client; lists stay accepted."""
+
+    @pytest.mark.parametrize("queries", [
+        pytest.param(_packed(float64=12), id="float64-int"),
+        pytest.param(_packed(float64=None), id="float64-null"),
+        pytest.param(_packed(float64=["AAAAAAAAAAA="]), id="float64-list"),
+        pytest.param(_packed(float64="not base64!"), id="float64-alphabet"),
+        pytest.param(_packed(float64="AAA"), id="float64-padding"),
+        pytest.param(_packed(float64="\u00e9t\u00e9"), id="float64-non-ascii"),
+        pytest.param(_packed(shape=[]), id="shape-empty"),
+        pytest.param(_packed(shape=[0]), id="shape-zero"),
+        pytest.param(_packed(shape=[-192]), id="shape-negative"),
+        pytest.param(_packed(shape=[1, 1, 192]), id="shape-3d"),
+        pytest.param(_packed(shape=[True]), id="shape-bool"),
+        pytest.param(_packed(shape=[192.0]), id="shape-float"),
+        pytest.param(_packed(shape="192"), id="shape-string"),
+        pytest.param(_packed(shape=None), id="shape-null"),
+        pytest.param(_packed(shape=[191]), id="bytes-short"),
+        pytest.param(_packed(shape=[2, 192]), id="bytes-long"),
+        pytest.param(_packed(extra=1), id="extra-key"),
+        pytest.param(_packed(shape=_DROP), id="missing-shape"),
+        pytest.param(_packed(float64=_DROP), id="missing-float64"),
+    ])
+    def test_malformed_packed_queries_400(self, server, queries):
+        errors = obs_registry().counter_value("serve.errors_total")
+        with pytest.raises(BadRequest) as info:
+            no_retry(server.url)._call(
+                "POST", "/stores/fleet/knn", {"queries": queries}
+            )
+        assert (info.value.code, info.value.status) == ("serve.bad-request", 400)
+        assert "'queries" in str(info.value)
+        assert obs_registry().counter_value("serve.errors_total") == errors
+
+    @pytest.mark.parametrize("rows", [1, 32])
+    def test_list_body_answers_like_the_client(self, server, client, rows):
+        """Hand-written nested lists get the same wire body as the packed
+        form the client sends, for one vector and for a batch."""
+        T = fleet_values().shape[1]
+        queries = np.random.default_rng(rows).normal(size=(rows, T)).cumsum(axis=1)
+        queries = queries[0] if rows == 1 else queries
+        listed = client._call("POST", "/stores/fleet/knn",
+                              {"queries": queries.tolist(), "k": 3})
+        packed = client.knn("fleet", queries, k=3)
+        assert protocol.dumps(listed) == protocol.dumps(packed)
 
 
 class TestRateLimiting:
