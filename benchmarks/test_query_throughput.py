@@ -21,9 +21,6 @@ so its cost must not grow with refine rounds x segments.
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import numpy as np
 import pytest
 
@@ -31,35 +28,32 @@ from repro.obs import disable_tracing, enable_tracing, set_metrics_enabled, trac
 from repro.query import QueryConfig, QueryEngine, build_query_index, write_query_index
 from repro.store import write_fleet_store, write_segmented_fleet
 
+from .test_segment_throughput import _median_ratio
 
-def measure_obs_overhead(run_batch, pairs: int = 7) -> float:
+
+def measure_obs_overhead(run_batch) -> float:
     """Median overhead fraction of telemetry-on vs telemetry-off batches.
 
-    Interleaves the arms so ambient machine noise slows both instead of
-    biasing one; restores telemetry to its defaults (metrics on, tracing
-    off) before returning.
+    The median of per-pair on/off ratios over interleaved pairs
+    (:func:`~benchmarks.test_segment_throughput._median_ratio`), so ambient
+    machine noise slows both halves of a pair instead of biasing one arm;
+    restores telemetry to its defaults (metrics on, tracing off) before
+    returning.
     """
-    def timed() -> float:
-        start = time.perf_counter()
-        run_batch()
-        return time.perf_counter() - start
+    def arm(on: bool):
+        def run() -> None:
+            set_metrics_enabled(on)
+            (enable_tracing if on else disable_tracing)()
+            run_batch()
+        return run
 
-    off_times, on_times = [], []
     try:
-        for _ in range(pairs):
-            set_metrics_enabled(False)
-            disable_tracing()
-            off_times.append(timed())
-            set_metrics_enabled(True)
-            enable_tracing()
-            on_times.append(timed())
-            tracer().clear()
+        ratio, _ = _median_ratio(arm(False), arm(True))
     finally:
         set_metrics_enabled(True)
         disable_tracing()
-    return max(
-        0.0, statistics.median(on_times) / statistics.median(off_times) - 1.0
-    )
+        tracer().clear()
+    return max(0.0, ratio - 1.0)
 
 #: Benchmark fleet: a week of 15-minute windows for 192 meters whose
 #: consumption levels span ~3 orders of magnitude (the paper's Figure 3

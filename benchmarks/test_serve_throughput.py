@@ -124,7 +124,7 @@ def test_concurrent_query_throughput(benchmark, fleet_dir):
         from benchmarks.test_query_throughput import measure_obs_overhead
 
         benchmark.extra_info["obs_overhead_fraction"] = measure_obs_overhead(
-            lambda: _drive(server.url, 4, 6), pairs=5,
+            lambda: _drive(server.url, 4, 6)
         )
 
 

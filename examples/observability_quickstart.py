@@ -6,7 +6,7 @@ Fast answers you can't explain are half a system.  This example walks the
 telemetry layer (``repro.obs``) end to end, zero dependencies:
 
 1. run a kNN batch with tracing on and print the span tree — one trace
-   from ``engine.knn`` down through ``plan.run`` into each forked
+   from ``engine.knn`` down through ``plan.run`` into each threaded
    ``plan.shard``, every span carrying its own work attributes
    (``columns_decoded``, ``runs_read``, ``refined``);
 2. read the same numbers three ways — span attributes, registry counters
@@ -63,7 +63,7 @@ def main() -> None:
             store_path, values, alphabet_size=ALPHABET, segment_windows=96,
         ).close()
 
-        # -- 1. one trace tree across the fork boundary -------------------
+        # -- 1. one trace tree across the shard threads -------------------
         enable_tracing()
         with QueryEngine.open(store_path) as engine:
             queries = engine.store.decode(meters=list(engine.store.ids[:4]))
@@ -79,7 +79,7 @@ def main() -> None:
             delta = diff_snapshots(registry().snapshot(), before)
 
             root = tracer().recent(1)[0]
-            print("one merged trace, forked shard spans included:")
+            print("one merged trace, shard spans included:")
             print(format_span_tree(root.to_dict()))
 
             # -- 2. three views of the work, one set of numbers -----------

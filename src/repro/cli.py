@@ -53,7 +53,7 @@ def _load_dataset(args: argparse.Namespace):
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (1 = serial, 0 = one per CPU); outputs are "
+        help="parallel workers (1 = serial, 0 = one per CPU); outputs are "
              "bit-identical for every worker count",
     )
 

@@ -1,21 +1,16 @@
-"""End-to-end telemetry: metrics registry, trace spans, worker snapshots.
+"""End-to-end telemetry: metrics registry and trace spans.
 
 Zero-dependency observability for the store → plan → serve stack:
 
 ``metrics``
     A process-wide :class:`MetricsRegistry` of counters, gauges and
-    fixed-bucket histograms.  Snapshots are plain picklable dicts that
-    merge across processes, so worker shards can ship their deltas home.
+    fixed-bucket histograms.  Snapshots are plain picklable dicts, and
+    ``diff_snapshots`` isolates what one query did between two of them.
 
 ``trace``
     Structured spans — context managers carrying trace-id/span-id/parent,
     monotonic timings and typed attributes — collected into a ring buffer
     and an optional JSONL sink.
-
-``telemetry``
-    The ``ProcessTelemetry`` snapshot protocol: a worker captures its span
-    tree plus metric deltas around one shard of work; the plan layer merges
-    them back, task-ordered, into one coherent per-request trace.
 
 Everything degrades to near-zero cost when disabled: a histogram record is
 one bucket increment, a span on a disabled tracer is a shared no-op object,
@@ -44,35 +39,23 @@ from .trace import (
     tracer,
     tracing_enabled,
 )
-from .telemetry import (
-    ProcessTelemetry,
-    TraceContext,
-    capture_telemetry,
-    merge_telemetry,
-    shard_trace_context,
-)
 
 __all__ = [
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "MetricsRegistry",
-    "ProcessTelemetry",
     "Span",
-    "TraceContext",
     "Tracer",
-    "capture_telemetry",
     "current_trace_id",
     "diff_snapshots",
     "disable_tracing",
     "enable_tracing",
     "format_span_tree",
-    "merge_telemetry",
     "new_trace_id",
     "recent_traces",
     "registry",
     "set_metrics_enabled",
     "set_trace_id",
-    "shard_trace_context",
     "span",
     "tracer",
     "tracing_enabled",

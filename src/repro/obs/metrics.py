@@ -6,10 +6,10 @@ Design constraints, in order:
   ``bisect`` plus one locked integer add; a disabled registry returns
   before touching the lock.  Instruments are created once and cached by
   ``(name, labels)``, so steady-state code never allocates.
-* **Mergeable across processes.**  ``snapshot()`` returns a plain nested
-  dict (picklable, JSON-able); ``diff_snapshots`` isolates the work one
-  shard did even when a forked child inherited the parent's totals, and
-  ``merge_snapshot`` adds a delta back into the live registry.
+* **Diffable.**  ``snapshot()`` returns a plain nested dict (picklable,
+  JSON-able); ``diff_snapshots`` isolates the work done between two
+  snapshots, which is how ``repro query --trace`` reports one query's
+  counters.
 * **Derivable quantiles.**  Histograms keep fixed bucket counts (plus sum
   and count), so p50/p95/p99 fall out of a cumulative walk with linear
   interpolation — no per-observation storage, ever.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -61,13 +61,6 @@ def _flat_key(name: str, labels: LabelsTuple) -> str:
     if not labels:
         return name
     return name + "|" + ",".join(f"{k}={v}" for k, v in labels)
-
-
-def _split_key(key: str) -> Tuple[str, LabelsTuple]:
-    name, _, rest = key.partition("|")
-    if not rest:
-        return name, ()
-    return name, tuple(tuple(pair.split("=", 1)) for pair in rest.split(","))
 
 
 def _prom_name(name: str) -> str:
@@ -281,32 +274,6 @@ class MetricsRegistry:
                 },
             }
 
-    def merge_snapshot(self, delta: Optional[Dict]) -> None:
-        """Add a (possibly remote) snapshot delta into the live registry."""
-        if not delta:
-            return
-        for key, value in delta.get("counters", {}).items():
-            if value:
-                name, labels = _split_key(key)
-                self.counter(name, **dict(labels)).inc(int(value))
-        for key, value in delta.get("gauges", {}).items():
-            name, labels = _split_key(key)
-            self.gauge(name, **dict(labels)).set(value)
-        for key, data in delta.get("histograms", {}).items():
-            if not data.get("count"):
-                continue
-            name, labels = _split_key(key)
-            hist = self.histogram(
-                name, buckets=data["bounds"], **dict(labels)
-            )
-            if tuple(hist.bounds) != tuple(data["bounds"]):
-                continue  # incompatible layouts never merge silently wrong
-            with self._lock:
-                for index, n in enumerate(data["buckets"]):
-                    hist.buckets[index] += int(n)
-                hist.sum += float(data["sum"])
-                hist.count += int(data["count"])
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
@@ -388,8 +355,8 @@ def diff_snapshots(after: Dict, before: Dict) -> Dict:
     """``after - before``, series-wise — the work done between snapshots.
 
     Series absent from ``before`` (created mid-capture) pass through whole;
-    zero-valued counter deltas and empty histograms are dropped so worker
-    telemetry payloads stay small.
+    zero-valued counter deltas and empty histograms are dropped, so a
+    per-query delta lists only the series the query touched.
     """
     counters = {}
     for key, value in after.get("counters", {}).items():

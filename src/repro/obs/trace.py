@@ -3,8 +3,10 @@
 A span is a lightweight slotted object — name, trace-id, span-id, parent,
 ``perf_counter_ns`` start/end, a dict of typed attributes, and child spans
 nested in creation order.  The tracer keeps the *current* span in a
-``ContextVar`` so concurrent server threads (and worker processes) each
-build their own tree without locking on the hot path.
+``ContextVar`` so concurrent server threads each build their own tree
+without locking on the hot path.  A plan's shard threads run detached and
+collect their ``plan.shard`` roots, which the plan hangs under its own
+span in task order.
 
 Finished **root** spans land in a bounded ring buffer (``/traces/recent``
 reads it) and, when configured, are appended as one JSON line each to a
@@ -95,23 +97,6 @@ class Span:
             "attributes": dict(self.attributes),
             "children": [child.to_dict() for child in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Span":
-        restored = cls(
-            data["name"], data["trace_id"], data["span_id"],
-            data.get("parent_id"),
-        )
-        # Remote spans carry only durations; keep them relative to zero so
-        # duration_ns round-trips and local grafting stays consistent.
-        restored.start_ns = 0
-        restored.end_ns = int(data.get("duration_ns", 0))
-        restored.status = data.get("status", "ok")
-        restored.attributes = dict(data.get("attributes", {}))
-        restored.children = [
-            cls.from_dict(child) for child in data.get("children", [])
-        ]
-        return restored
 
 
 class _NoopSpan:
@@ -236,10 +221,10 @@ class Tracer:
     def detached(self):
         """Run with no inherited current span.
 
-        A forked worker inherits the parent's ContextVar state, including
-        the span that was open at fork time; a span started under it would
-        silently attach to the worker's dead copy of that parent instead of
-        finishing as a collectable root.
+        A thread running in a copy of the caller's context inherits the
+        caller's open span; a span started under it would attach to that
+        parent in whatever order the threads finish, instead of finishing
+        as a collectable root.
         """
         token = self._current.set(None)
         try:
@@ -249,7 +234,7 @@ class Tracer:
 
     @contextmanager
     def collect(self):
-        """Divert finished roots in this context into a list (worker capture)."""
+        """Divert finished roots in this context into a list (shard capture)."""
         roots: List[Span] = []
         token = self._collector.set(roots)
         try:

@@ -16,7 +16,9 @@ bit.  Three grains of work are supported:
 All three funnel through one :class:`ParallelExecutor` whose ``workers=1``
 mode *is* the pre-existing serial code path, and whose parallel mode merges
 results in stable task-index order.  Grid workers rebuild datasets from
-:class:`DatasetDescriptor` seeds instead of unpickling raw arrays.  The
+:class:`DatasetDescriptor` seeds instead of unpickling raw arrays.  Query
+plans do not use this layer: :class:`~repro.query.ScanPlan` runs its shards
+on threads over the caller's open store, so a query starts no process.  The
 parity suite under ``tests/parallel/`` pins bit-identical outputs for
 ``workers ∈ {1, 2, 4}`` against the PR 2 goldens.
 """

@@ -32,8 +32,6 @@ __all__ = [
     "run_grid_chunk",
     "StoreShardTask",
     "pack_store_shard",
-    "PlanShardTask",
-    "run_plan_shard",
 ]
 
 #: Worker-local cache of grid runners, keyed by (descriptor, n_folds, seed).
@@ -138,51 +136,3 @@ def pack_store_shard(task: StoreShardTask) -> Tuple[Optional[List[dict]], List[t
         indices = encoder.fit_encode(task.values)
         table_dicts = [table.to_dict() for table in encoder.tables]
     return table_dicts, pack_columns(indices, task.bits, task.layout)
-
-
-class PlanShardTask(NamedTuple):
-    """One shard of a :class:`~repro.query.plan.ScanPlan` work list.
-
-    The single worker-side grain of the unified query driver: ``operator``
-    is a picklable :class:`~repro.query.ops.Operator` carrying everything
-    the shard needs (pruning index, query rows, pattern tokens), ``items``
-    its contiguous slice of the (pruned) work list.  Workers reopen the
-    store by path (memory-mapped, read-only) and run the exact function the
-    serial path runs, so merged plan results are bit-identical for every
-    worker count.
-    """
-
-    store_path: str
-    operator: "object"       # Operator (ops.py dataclass)
-    items: "object"          # the shard's slice of the plan's work list
-    trace: "object" = None   # obs.TraceContext, or None when telemetry is off
-    shard: int = 0           # shard index, for span labelling
-
-
-def run_plan_shard(task: PlanShardTask):
-    """Run one plan shard worker-side.
-
-    Returns ``(shard_result, ProcessTelemetry | None)``: when the caller
-    shipped a :class:`~repro.obs.TraceContext`, the shard's work runs under
-    a ``plan.shard`` span continuing the caller's trace, and its metric
-    deltas plus span tree ride home alongside the result for task-ordered
-    merge.  With telemetry off the capture is skipped entirely.
-    """
-    from ..obs import capture_telemetry, tracer
-    from ..query.ops import ColumnSource
-    from ..store import open_store
-
-    with capture_telemetry(
-        task.trace, "plan.shard",
-        shard=task.shard, items=len(task.items),
-    ) as telemetry:
-        with open_store(task.store_path) as store:
-            source = ColumnSource(store)
-            result = task.operator.run_shard(source, task.items)
-            shard_span = tracer().current_span()
-            if shard_span is not None:
-                shard_span.set_attributes(
-                    columns_decoded=int(source.stats.columns_decoded),
-                    runs_read=int(source.stats.runs_read),
-                )
-    return result, telemetry if task.trace is not None else None

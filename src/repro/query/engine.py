@@ -35,9 +35,9 @@ Every query kind — kNN, pattern match, aggregation, and the monitoring
 workloads (:meth:`QueryEngine.anomaly`, :meth:`QueryEngine.drift`,
 :meth:`QueryEngine.private_aggregate`) — executes as a
 :class:`~repro.query.plan.ScanPlan` over the engine's cached
-:class:`~repro.query.ops.ColumnSource`; ``workers > 1`` shards through the
-plan driver's :class:`~repro.parallel.ParallelExecutor` loop (task-ordered
-merge), and results are bit-identical for every worker count.
+:class:`~repro.query.ops.ColumnSource`; ``workers > 1`` runs the plan's
+shards on threads over the engine's own open store (task-ordered merge),
+and results are bit-identical for every worker count.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ aggregates) — is expressed as one *operator* over one *source*:
 
 :class:`Operator` subclasses
     Declare the axis they shard over (``items``), do their work on one shard
-    (``run_shard`` — also the unit worker processes execute), and fold shard
+    (``run_shard`` — also the unit a shard thread executes), and fold shard
     results back together (``merge``, task-ordered).  Operators are plain
-    picklable dataclasses; anything a worker needs (a pruning
+    frozen dataclasses; anything a shard needs (a pruning
     :class:`~repro.query.index.QueryIndex`, query vectors, pattern tokens)
     rides on the operator itself, never on ambient state.
 
@@ -262,7 +262,7 @@ class ColumnSource:
         Served from the attached (or passed) index when one matches —
         zero payload reads — otherwise from one scan.  The whole-fleet scan
         is cached on the source; column subsets scan only the subset (one
-        block read when contiguous), matching what a worker shard needs.
+        block read when contiguous), matching what a plan shard needs.
         """
         index = self.index if index is None else index
         if index is not None:
@@ -336,11 +336,12 @@ class ColumnSource:
 class Operator:
     """Base scan operator: shard axis, per-shard work, task-ordered merge.
 
-    Subclasses are picklable dataclasses.  ``run_shard`` must be a pure
-    function of ``(source, items)`` — it runs either in-process (serial
-    path) or in a worker that reopened the store by path — and ``merge``
-    must fold shard results in task order, so plan results are bit-identical
-    for every worker count.
+    Subclasses are frozen dataclasses, because concurrent shards may share
+    one operator.  ``run_shard`` must be a pure function of ``(source,
+    items)`` — it runs on the caller's thread (serial path) or on a shard
+    thread, concurrently with the other shards, each through its own source
+    over the same open store — and ``merge`` must fold shard results in
+    task order, so plan results are bit-identical for every worker count.
     """
 
     def items(self, source: ColumnSource) -> Sequence:
@@ -348,10 +349,10 @@ class Operator:
         return list(range(source.n_columns))
 
     def shard(self, items: Sequence) -> Tuple["Operator", Sequence]:
-        """The ``(operator, items)`` actually shipped to one worker.
+        """The ``(operator, items)`` one shard runs.
 
-        Overridden when the operator can slim its payload per shard (kNN
-        ships only the shard's query rows instead of the whole batch).
+        Overridden when the operator can slim itself per shard (a kNN shard
+        carries only its own query rows instead of the whole batch).
         """
         return self, items
 
@@ -395,7 +396,7 @@ def _knn_block(
     refine_chunk: int,
     exclude: np.ndarray,
 ) -> tuple:
-    """Serial kNN for one block of queries; the unit workers execute.
+    """Serial kNN for one block of queries; the unit a shard executes.
 
     Returns ``(positions, distances, refined)`` with ``positions`` of shape
     ``(len(queries), kk)`` where ``kk = min(k, candidates)``.
@@ -632,8 +633,7 @@ class MatchOperator(Operator):
     boundaries (:meth:`ColumnSource.run_blocks`); :func:`match_runs` then
     scans each column's slice of the flat arrays.  Carries the parsed token
     tuple (not the pattern text): programmatically built
-    :class:`SymbolPattern` objects carry no text, and re-parsing
-    worker-side would make the result depend on the worker count.
+    :class:`SymbolPattern` objects carry no text.
     """
 
     tokens: tuple                  # tuple of PatternToken

@@ -16,23 +16,24 @@ all execute through it.  The driver preserves the determinism contract the
 bespoke loops had: ``workers=1`` (or a single-item work list) runs the
 operator in-process against the already-open source — literally the serial
 path — while ``workers != 1`` splits the work list contiguously with
-``np.array_split``, ships each shard as a
-:class:`~repro.parallel.worker.PlanShardTask` (workers reopen the store by
-path), and merges in task order.  Because every operator's shard results
-are exact (integers, or per-item-independent floats), plan results are
-bit-identical for every worker count.
+``np.array_split``, runs each shard on a thread over the caller's own open
+store (the snapshot the caller holds, never a newer generation), and merges
+in task order.  Because every operator's shard results are exact (integers,
+or per-item-independent floats), plan results are bit-identical for every
+worker count.
 """
 
 from __future__ import annotations
 
 import contextvars
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import DeadlineExceeded
-from ..obs import merge_telemetry, registry, shard_trace_context, tracer
+from ..obs import registry, tracer
 from .ops import ColumnSource, Operator
 
 __all__ = ["Deadline", "ScanPlan", "active_deadline", "check_deadline"]
@@ -151,9 +152,10 @@ class ScanPlan:
         :class:`~repro.errors.DeadlineExceeded` with partial-work
         accounting.  Without a deadline the execution path is literally
         unchanged, and results are bit-identical either way: chunked shard
-        results merge exactly like worker shards do.  Multi-process runs
-        check the deadline before sharding and after the merge-join —
-        worker shards themselves run to completion.
+        results merge exactly like worker shards do.  Sharded runs check
+        the deadline before sharding and after the join; each shard thread
+        sees the same deadline, so operators with inner loops check it
+        mid-shard too.
         """
         trace = tracer()
         metrics = registry()
@@ -246,33 +248,56 @@ class ScanPlan:
         return parts
 
     def _run_sharded(self, kept: List, workers: int) -> List:
-        from ..parallel.executor import ParallelExecutor, resolve_workers
-        from ..parallel.worker import PlanShardTask, run_plan_shard
+        """Run contiguous shards of ``kept`` on threads; results in task order.
 
-        workers = resolve_workers(workers)
+        Each shard reads the caller's open store through its own
+        :class:`ColumnSource` (per-shard read accounting) and runs in a copy
+        of the caller's context, so the request's deadline and trace id
+        reach it.  Its ``plan.shard`` span finishes as a collected root and
+        hangs under the plan span in task order, whatever order the threads
+        finish in.  A shard's exception re-raises here, first in task order.
+        """
+        from ..parallel.executor import resolve_workers
+
         bounds = np.array_split(
-            np.arange(len(kept)), min(workers, len(kept))
+            np.arange(len(kept)), min(resolve_workers(workers), len(kept))
         )
-        context = shard_trace_context()
-        tasks = []
-        for idx in bounds:
-            if not idx.size:
-                continue
-            operator, shard_items = self.operator.shard(
-                [kept[int(i)] for i in idx]
-            )
-            tasks.append(PlanShardTask(
-                store_path=str(self.source.store.path),
-                operator=operator,
-                items=shard_items,
-                trace=context,
-                shard=len(tasks),
-            ))
-        with ParallelExecutor(workers) as executor:
-            mapped = executor.map(run_plan_shard, tasks)
-        if context is not None:
-            merge_telemetry([telemetry for _, telemetry in mapped])
-        return [result for result, _ in mapped]
+        shards = [
+            self.operator.shard([kept[int(i)] for i in idx]) for idx in bounds
+        ]
+        parent = tracer().current_span()
+        with ThreadPoolExecutor(len(shards)) as pool:
+            futures = [
+                pool.submit(
+                    contextvars.copy_context().run, self._run_shard,
+                    shard, operator, shard_items, parent,
+                )
+                for shard, (operator, shard_items) in enumerate(shards)
+            ]
+            done = [future.result() for future in futures]
+        if parent is not None:
+            for _, roots in done:
+                parent.children.extend(roots)
+        return [result for result, _ in done]
+
+    def _run_shard(self, shard: int, operator: Operator, items: Sequence,
+                   parent) -> tuple:
+        """``(shard result, collected root spans)`` of one shard thread."""
+        source = ColumnSource(self.source.store, index=self.source.index)
+        trace = tracer()
+        with trace.detached(), trace.collect() as roots:
+            with trace.span(
+                "plan.shard",
+                _trace_id=parent.trace_id if parent is not None else None,
+                _parent_id=parent.span_id if parent is not None else None,
+                shard=shard, items=len(items),
+            ) as shard_span:
+                result = operator.run_shard(source, items)
+                shard_span.set_attributes(
+                    columns_decoded=int(source.stats.columns_decoded),
+                    runs_read=int(source.stats.runs_read),
+                )
+        return result, roots
 
     def __repr__(self) -> str:
         return f"ScanPlan({self.explain()})"

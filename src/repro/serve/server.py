@@ -634,8 +634,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest("append body needs an 'indices' matrix")
         try:
             matrix = np.asarray(indices, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadRequest(f"'indices' is not an integer matrix: {exc}")
+        # np.asarray reads "3", true and 2.7 as symbols 3, 1 and 2; a JSON
+        # integer is an int (bool subclasses it, so compare types exactly).
+        rows = indices if matrix.ndim == 2 else []
+        if any(type(v) is not int for row in rows for v in row):
+            raise BadRequest(
+                "'indices' must hold JSON integers only, not strings, "
+                "booleans or floats"
+            )
         reason = str(body.get("reason", "append"))
         key = body.get("idempotency_key")
         if key is not None:

@@ -78,26 +78,6 @@ def test_snapshot_is_picklable_and_detached():
     assert snap["counters"]["a_total"] == 1
 
 
-def test_diff_then_merge_round_trips_worker_deltas():
-    # Simulates the fork protocol: the child inherits the parent's totals,
-    # does some work, and ships only the delta home.
-    parent = MetricsRegistry()
-    parent.counter("store.columns_decoded_total").inc(7)
-    inherited = parent.snapshot()
-
-    child = MetricsRegistry()
-    child.merge_snapshot(inherited)  # "fork"
-    child.counter("store.columns_decoded_total").inc(3)
-    child.histogram("io.seconds", buckets=(0.1, 1.0)).observe(0.05)
-    delta = diff_snapshots(child.snapshot(), inherited)
-
-    assert delta["counters"]["store.columns_decoded_total"] == 3
-    parent.merge_snapshot(delta)
-    assert parent.counter_value("store.columns_decoded_total") == 10
-    merged = parent.snapshot()["histograms"]["io.seconds"]
-    assert merged["count"] == 1
-
-
 def test_diff_drops_zero_deltas():
     reg = MetricsRegistry()
     reg.counter("untouched_total").inc(5)

@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    Span,
     current_trace_id,
     enable_tracing,
     format_span_tree,
@@ -53,9 +52,6 @@ def test_span_records_attributes_and_durations():
     (trace,) = recent_traces(1)
     assert trace["attributes"] == {"items": 3, "kept": 2}
     assert trace["duration_ns"] >= 0
-    child_free = Span.from_dict(trace)
-    assert child_free.name == "work"
-    assert child_free.attributes["items"] == 3
 
 
 def test_exception_marks_status_and_still_finishes():

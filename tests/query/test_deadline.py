@@ -12,6 +12,7 @@ Two satellite contracts of the serving PR live here:
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlineExceeded
+from repro.obs import registry
 from repro.query import (
     ColumnSource,
     Deadline,
@@ -126,6 +128,14 @@ class TestPlanDeadline:
         seen.clear()
         ScanPlan(ColumnSource(store), RecordingOperator(seen)).run()
         assert seen == [(40, False)]
+
+    def test_shard_threads_see_the_deadline(self, store):
+        seen: list = []
+        ScanPlan(ColumnSource(store), RecordingOperator(seen)).run(
+            workers=2, deadline=Deadline(3600.0)
+        )
+        # Shards finish in any order; each ran under the request's deadline.
+        assert sorted(seen) == [(20, True), (20, True)]
 
     def test_expired_deadline_raises_before_any_read(self, store):
         clock = FakeClock()
@@ -322,3 +332,20 @@ class TestThreadSafety:
         assert not failures, f"cold-cache race: {failures[:1]}"
         assert len(results) == 8
         assert all(r == expected for r in results)
+
+    def test_shard_threads_lose_no_counts(self, store):
+        """More shard threads than cores, switching often: the answer is
+        the serial one and the shared registry loses no increment."""
+        engine = QueryEngine(store)
+        serial = engine.anomaly()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                before = registry().counter_value("store.runs_read_total")
+                sharded = engine.anomaly(workers=8)
+                read = registry().counter_value("store.runs_read_total") - before
+                assert read == store.n_meters
+                assert sharded.scores.tobytes() == serial.scores.tobytes()
+        finally:
+            sys.setswitchinterval(interval)

@@ -16,13 +16,16 @@ import pytest
 
 from repro.query import (
     ColumnSource,
+    QueryConfig,
     QueryEngine,
     ScanPlan,
     SymbolCountPrune,
     build_query_index,
 )
 from repro.query.ops import Operator
-from repro.store import RLE, open_store, write_fleet_store, write_segmented_fleet
+from repro.store import (
+    RLE, append_segment, open_store, write_fleet_store, write_segmented_fleet,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,38 @@ class TestScanPlanDriver:
                 ColumnSource(seg), SymbolSumOperator()
             ).run(workers=workers)
         np.testing.assert_array_equal(serial, seg_result)
+
+    def test_shards_read_the_engines_snapshot_after_an_append(self, tmp_path):
+        """An append between open and query changes no answer at any
+        worker count: every shard reads the generation the engine holds."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "fleet.rsyms"
+        write_segmented_fleet(
+            path, np.abs(rng.normal(size=(64, 96 * 5)).cumsum(axis=1)),
+            alphabet_size=16, segment_windows=96,
+        ).close()
+        with QueryEngine.open(path) as engine:
+            queries = engine.store.decode(meters=list(range(8)))
+            append_segment(
+                path, rng.integers(0, 16, size=(64, 96)),
+                tables=engine.store.shared_table,
+            )
+
+            def answers(workers):
+                anomaly = engine.anomaly(workers=workers)
+                agg = engine.aggregate(workers=workers)
+                match = engine.match("a{2,}", workers=workers)
+                knn = engine.knn(queries, QueryConfig(k=5, workers=workers))
+                return (
+                    anomaly.transitions.tobytes(), anomaly.scores.tobytes(),
+                    agg.symbol_counts.tobytes(), agg.run_count.tobytes(),
+                    sorted(match.spans.items()),
+                    knn.positions.tobytes(), knn.distances.tobytes(),
+                )
+
+            serial = answers(1)
+            assert answers(2) == serial
+            assert answers(4) == serial
 
     def test_items_subset_and_stage_pruning(self, file_store):
         index = build_query_index(file_store)

@@ -13,6 +13,7 @@ The central claims pinned here:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -417,6 +418,46 @@ class TestIdempotentAppend:
         with QueryServer({"fleet": fleet_file}) as server:
             with pytest.raises(BadRequest):
                 no_retry(server.url).append("fleet", [[0, 1]])
+
+    @pytest.mark.parametrize(
+        "cell", ["3", True, 2.7, 2**70],
+        ids=["string", "bool", "float", "int64-overflow"],
+    )
+    def test_non_integer_indices_400(self, server, fleet_dir, cell):
+        """Strings, booleans, floats and integers past int64 are a 400
+        naming ``indices``, and nothing is committed."""
+        indices = [[0] * 8 for _ in range(10)]
+        indices[1][2] = cell
+        with SegmentedStore.open(fleet_dir) as store:
+            generation = store.generation
+        with pytest.raises(BadRequest) as info:
+            no_retry(server.url).append("fleet", indices)
+        assert (info.value.code, info.value.status) == ("serve.bad-request", 400)
+        assert "'indices'" in str(info.value)
+        with SegmentedStore.open(fleet_dir) as store:
+            assert store.generation == generation
+
+
+class TestShardThreads:
+    def test_sharded_queries_start_no_process(self, fleet_dir, monkeypatch):
+        """``workers=2`` shards run on threads, so neither the engine nor
+        the multi-threaded server forks to answer a query."""
+        def fork():
+            raise AssertionError("a query forked a process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with QueryEngine.open(fleet_dir) as engine:
+            anomaly = engine.anomaly(workers=2)
+            local = engine.aggregate()
+        assert anomaly.transitions.sum() > 0
+        with QueryServer(
+            {"fleet": fleet_dir}, ServerConfig(workers=2)
+        ) as server:
+            client = no_retry(server.url)
+            knn = client.knn("fleet", fleet_values()[:2], k=3)
+            agg = client.agg("fleet")
+        assert len(knn["ids"]) == 2
+        assert agg["symbol_counts"] == local.symbol_counts.tolist()
 
 
 class TestFileStore:
