@@ -3,16 +3,18 @@
 The PR 8 plan layer's proof of keep: the monitoring operators must be fast
 *because* they are store-native.  Three numbers are tracked —
 
-* anomaly meters/sec — per-meter transition scoring off RLE runs;
+* anomaly meters/sec — per-meter transition scoring: a dense store counts
+  adjacent symbol pairs, and an RLE copy of the same fleet (its own entry)
+  reads its stored runs;
 * drift report latency — fleet drift straight off ``.rsymx`` histograms
   (the entry asserts **zero** columns decoded, the whole point);
 * aggregate queries/sec, cold vs cached — the engine's shared
   ``ColumnSource`` makes every aggregate after the first free of payload
   reads, and the cached rate must show it;
 * anomaly meters/sec and match columns/sec on a segmented store of a
-  week of hourly segments, as an hourly append feed leaves it — the
-  run-level operators read runs one column block per segment, so their
-  cost must not grow with columns x segments.
+  week of hourly segments, as an hourly append feed leaves it — both
+  operators read one column block per segment, so their cost must not
+  grow with columns x segments.
 
 CI runs this file with ``--benchmark-json=BENCH_ops.json`` and gates on
 the floors in ``perf_floors.json``.
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.query import ColumnSource, QueryEngine, aggregate_store
-from repro.store import write_fleet_store, write_segmented_fleet
+from repro.store import RLE, write_fleet_store, write_segmented_fleet
 
 N_METERS = 192
 WINDOWS = 672
@@ -54,6 +56,16 @@ def ops_store(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def rle_store(tmp_path_factory):
+    """The ``ops_store`` fleet written with ``layout=RLE``."""
+    path = tmp_path_factory.mktemp("bench_ops_rle") / "fleet.rsym"
+    return write_fleet_store(
+        path, _fleet_values(WINDOWS), alphabet_size=ALPHABET, method="median",
+        window=1, shared_table=True, sampling_interval=900.0, layout=RLE,
+    )
+
+
+@pytest.fixture(scope="module")
 def segmented_store(tmp_path_factory):
     """``SEGMENTS`` hourly segments and no index, so match scans every column."""
     path = tmp_path_factory.mktemp("bench_ops_seg") / "fleet.rsyms"
@@ -66,8 +78,20 @@ def segmented_store(tmp_path_factory):
 
 
 def test_anomaly_throughput(benchmark, ops_store):
-    """Fleet transition scoring: runs in, scores out, no window expansion."""
+    """Fleet transition scoring on a dense store: adjacent symbol pairs."""
     engine = QueryEngine.open(ops_store.path)
+    report = benchmark(engine.anomaly)
+    assert len(report.ids) == N_METERS
+    assert report.transitions.sum() > 0
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info["meters_per_s"] = N_METERS / mean
+    benchmark.extra_info["transitions"] = int(report.transitions.sum())
+
+
+def test_rle_anomaly_throughput(benchmark, rle_store):
+    """Fleet transition scoring off stored runs: no window expansion."""
+    engine = QueryEngine.open(rle_store.path)
+    assert engine.store.layout == RLE
     report = benchmark(engine.anomaly)
     assert len(report.ids) == N_METERS
     assert report.transitions.sum() > 0
@@ -127,7 +151,7 @@ def test_private_aggregate_throughput(benchmark, ops_store):
 
 
 def test_segmented_anomaly_throughput(benchmark, segmented_store):
-    """Transition scoring over hourly segments: one run read per segment."""
+    """Transition scoring over hourly segments: one read per segment."""
     engine = QueryEngine.open(segmented_store)
     report = benchmark(engine.anomaly)
     assert engine.store.n_segments == SEGMENTS

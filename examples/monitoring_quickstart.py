@@ -10,7 +10,8 @@ format), lets two meters misbehave, and runs the three store-native
 monitoring operators of ``repro.query``:
 
 1. ``anomaly`` scores every meter's symbol transitions against the pooled
-   fleet model, read off RLE runs — the flickering meter tops the list;
+   fleet model, counted off adjacent symbol pairs of the dense store (an
+   RLE store reads its runs instead) — the flickering meter tops the list;
 2. ``drift`` diffs each meter's symbol histogram against a ``.rsymx``
    snapshot taken before the level shift, touching **zero** payload bytes;
 3. ``private_aggregate`` releases a k-anonymous, Laplace-noised group

@@ -8,7 +8,7 @@ The package is organised as:
     and the compression model.
 
 ``repro.baselines``
-    PAA, SAX and iSAX, the representations the paper positions itself against.
+    PAA and SAX, the representations the paper positions itself against.
 
 ``repro.datasets``
     Synthetic substitutes for the REDD, Smart* and Irish CER datasets.

@@ -2,22 +2,15 @@
 
 * :mod:`repro.baselines.paa` — Piecewise Aggregate Approximation.
 * :mod:`repro.baselines.sax` — SAX with z-normalisation and Gaussian breakpoints.
-* :mod:`repro.baselines.isax` — iSAX words, MINDIST and a small tree index.
 """
 
-from .isax import ISAXEncoder, ISAXIndex, ISAXSymbol, ISAXWord, isax_mindist
 from .paa import paa, paa_series
 from .sax import SAXEncoder, SAXWord, gaussian_breakpoints, mindist, znormalize
 
 __all__ = [
-    "ISAXEncoder",
-    "ISAXIndex",
-    "ISAXSymbol",
-    "ISAXWord",
     "SAXEncoder",
     "SAXWord",
     "gaussian_breakpoints",
-    "isax_mindist",
     "mindist",
     "paa",
     "paa_series",

@@ -705,7 +705,7 @@ def _anomaly_flags(parser: argparse.ArgumentParser) -> None:
 def _render_anomaly(args: argparse.Namespace, params, body) -> None:
     _print_top(body["ids"], body["scores"], args.top, "score")
     print(f"scored {len(body['ids'])} meters against the fleet transition "
-          f"model ({int(sum(body['transitions']))} transitions read off runs)")
+          f"model ({int(sum(body['transitions']))} transitions counted)")
 
 
 def _drift_flags(parser: argparse.ArgumentParser) -> None:

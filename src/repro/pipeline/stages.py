@@ -294,9 +294,13 @@ class RLERuns(NamedTuple):
         One vectorized pass over the flattened matrix: a run boundary is any
         element that differs from its predecessor *or* starts a new row, so
         runs never leak across meters.  Per row the result equals
-        ``RLEStage().run_batch(row)``.
+        ``RLEStage().run_batch(row)``.  Integer input keeps its own dtype,
+        so a decoded ``uint8`` block costs one byte per window while it
+        runs; anything else is cast to ``int64`` first.
         """
-        matrix = np.asarray(indices, dtype=np.int64)
+        matrix = np.asarray(indices)
+        if not np.issubdtype(matrix.dtype, np.integer):
+            matrix = matrix.astype(np.int64)
         if matrix.ndim != 2:
             raise SegmentationError(
                 f"expected a 2-D index matrix, got shape {matrix.shape}"

@@ -537,8 +537,10 @@ class QueryEngine:
     ) -> AnomalyReport:
         """Per-meter anomaly scores from symbol-transition likelihoods.
 
-        Transition counts are read off the RLE runs (no window expansion);
-        each meter is scored against the pooled fleet transition model.
+        Transition counts come off adjacent symbol pairs on a dense store
+        and off the stored runs on an RLE store (no window expansion), the
+        same integers either way; each meter is scored against the pooled
+        fleet transition model.
         """
         columns = self.store._resolve_meters(meters)
         plan = ScanPlan(self.source, AnomalyOperator(), items=columns)

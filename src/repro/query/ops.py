@@ -7,9 +7,9 @@ aggregates) — is expressed as one *operator* over one *source*:
 :class:`ColumnSource`
     One read abstraction over ``.rsym`` files and ``.rsyms`` segment
     directories (dense and RLE, per-segment table epochs): block-granular
-    ``matrix``/``run_blocks`` reads, index-backed column statistics with a
-    fleet-level cache, and a :class:`SourceStats` decode counter that makes
-    "this operator never touched payload bytes" a testable claim.
+    ``matrix_blocks``/``run_blocks`` reads, index-backed column statistics
+    with a fleet-level cache, and a :class:`SourceStats` decode counter that
+    makes "this operator never touched payload bytes" a testable claim.
 
 :class:`Operator` subclasses
     Declare the axis they shard over (``items``), do their work on one shard
@@ -41,6 +41,7 @@ from ..core.lookup import LookupTable
 from ..errors import QueryError
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
 from ..pipeline.stages import RLERuns
+from ..store.format import RLE, _Segment
 from ..store.packing import symbol_dtype
 from .distance import banded_min_cells, histogram_bound
 from .index import DEFAULT_BANDS, QueryIndex, _shard_stats
@@ -166,6 +167,21 @@ class ColumnSource:
             "store.cache_hits_total",
             "Reads served from the source's caches or the .rsymx index")
 
+    def for_shard(self) -> "ColumnSource":
+        """A source over the same open store for one plan shard thread.
+
+        It counts its own reads (its own :class:`SourceStats`) but starts
+        from this source's cached table and fleet statistics, taken under
+        this source's lock, so a shard never recomputes what the caller
+        already holds.
+        """
+        shard = ColumnSource(self.store, index=self.index)
+        with self._lock:
+            shard._table = self._table
+            shard._column_stats = self._column_stats
+            shard._run_counts = self._run_counts
+        return shard
+
     # -- delegated shape ---------------------------------------------------------
 
     @property
@@ -197,24 +213,23 @@ class ColumnSource:
 
     # -- counted reads -----------------------------------------------------------
 
-    def matrix(self, meters=None, window_range=None) -> np.ndarray:
-        """Block-granular index matrix read (counted)."""
-        n = self.store.n_meters if meters is None else len(meters)
+    def _count_decode(self, n: int) -> None:
+        """Count one block read that decodes ``n`` columns."""
         with self._lock:
             self.stats.columns_decoded += n
         self._m_columns.inc(n)
         self._m_blocks.inc()
+
+    def matrix(self, meters=None, window_range=None) -> np.ndarray:
+        """Block-granular index matrix read (counted)."""
+        self._count_decode(self.store.n_meters if meters is None else len(meters))
         result = self.store.matrix(meters=meters, window_range=window_range)
         self._m_bytes.inc(int(result.nbytes))
         return result
 
     def matrix_block(self, start: int, stop: int, window_range=None) -> np.ndarray:
         """Decode the contiguous column block ``[start, stop)`` (counted)."""
-        n = max(0, int(stop) - int(start))
-        with self._lock:
-            self.stats.columns_decoded += n
-        self._m_columns.inc(n)
-        self._m_blocks.inc()
+        self._count_decode(max(0, int(stop) - int(start)))
         result = self.store.matrix_block(start, stop, window_range=window_range)
         self._m_bytes.inc(int(result.nbytes))
         return result
@@ -235,6 +250,30 @@ class ColumnSource:
             self._m_blocks.inc()
             yield block, runs
 
+    def matrix_blocks(
+        self, columns: Sequence[int]
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(rows, symbols)`` over the column positions ``columns`` (counted).
+
+        The positional twin of :meth:`run_blocks`: columns of one symbol
+        count decode together, at most ``_Segment._RUN_SCAN_BLOCK`` per
+        read, each read one :func:`~repro.store.format.read_spans` decode
+        across the segments; ``rows`` are the read's places in ``columns``.
+        A bare file may hold columns of different lengths, and each length
+        reads on its own.
+        """
+        cols = np.asarray(columns, dtype=np.int64).reshape(-1)
+        widths = self.counts[cols]
+        step = _Segment._RUN_SCAN_BLOCK
+        for width in np.unique(widths).tolist():
+            group = np.flatnonzero(widths == width)
+            for start in range(0, group.size, step):
+                rows = group[start: start + step]
+                self._count_decode(rows.size)
+                symbols = self.store._read(cols[rows], None)
+                self._m_bytes.inc(int(symbols.nbytes))
+                yield rows, symbols
+
     def runs(self, meter) -> tuple:
         """``(run_values, run_lengths)`` of one column: a one-column block."""
         ((_, runs),) = self.run_blocks([self.store._column(meter)])
@@ -243,11 +282,7 @@ class ColumnSource:
     def _scan_stats(self, start: int, stop: int, n_bands: int,
                     window_range: Optional[tuple] = None) -> tuple:
         """Banded histogram scan of ``[start, stop)`` — a payload read."""
-        n = max(0, int(stop) - int(start))
-        with self._lock:
-            self.stats.columns_decoded += n
-        self._m_columns.inc(n)
-        self._m_blocks.inc()
+        self._count_decode(max(0, int(stop) - int(start)))
         return _shard_stats(self.store, int(start), int(stop), n_bands, window_range)
 
     # -- cached column statistics ------------------------------------------------
@@ -799,24 +834,48 @@ class AnomalyReport:
         ]
 
 
+def _pair_dtype(cells: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every pair code below ``cells``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if cells <= int(np.iinfo(dtype).max) + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass(frozen=True)
 class AnomalyOperator(Operator):
     """Fleet-relative anomaly scores over the column axis.
 
-    Shards return exact per-meter transition-count matrices read off the
-    runs (no window expansion), one column block per segment merged across
-    segment boundaries (:meth:`ColumnSource.run_blocks`).  A run of length
-    ``L`` contributes ``L - 1`` self-transitions and each run after a
-    column's first one cross-transition, so one self-loop ``bincount`` and
-    one cross-run ``bincount`` per block give exactly the counts of the
-    expanded symbol sequences.  ``merge`` pools them into the fleet model
-    and scores every meter against it — integer counts merged in task order,
-    so scores are bit-identical for every worker count.
+    Shards return exact per-meter transition-count matrices, read the way
+    each layout stores its symbols.  Dense columns decode a block at a time
+    (:meth:`ColumnSource.matrix_blocks`, one read per segment per block);
+    every two adjacent windows ``a, b`` form the pair code ``a * k + b`` in
+    the narrowest unsigned dtype that holds ``k * k``, and one ``bincount``
+    per row counts them.  RLE columns keep their stored runs
+    (:meth:`ColumnSource.run_blocks`, merged across segment boundaries): a
+    run of length ``L`` contributes ``L - 1`` self-transitions and each run
+    after a column's first one cross-transition, so one self-loop
+    ``bincount`` and one cross-run ``bincount`` per block give the same
+    counts without expanding the runs.  ``merge`` pools them into the fleet
+    model and scores every meter against it — integer counts merged in task
+    order, so scores are bit-identical for every worker count and layout.
     """
 
     def run_shard(self, source: ColumnSource, items: Sequence) -> np.ndarray:
         k = source.alphabet_size
         cells = k * k
+        if source.store.layout != RLE:
+            counts = np.zeros((len(items), cells), dtype=np.int64)
+            dtype = _pair_dtype(cells)
+            for rows, symbols in source.matrix_blocks(items):
+                if symbols.shape[1] < 2:
+                    continue            # fewer than two windows: no transitions
+                pairs = symbols[:, :-1].astype(dtype)
+                pairs *= k
+                pairs += symbols[:, 1:]
+                for row, codes in zip(rows.tolist(), pairs):
+                    counts[row] = np.bincount(codes, minlength=cells)
+            return counts
         parts = [np.zeros((0, cells), dtype=np.int64)]
         for _, runs in source.run_blocks([int(c) for c in items]):
             bins = runs.n_rows * cells

@@ -251,9 +251,10 @@ class ScanPlan:
         """Run contiguous shards of ``kept`` on threads; results in task order.
 
         Each shard reads the caller's open store through its own
-        :class:`ColumnSource` (per-shard read accounting) and runs in a copy
-        of the caller's context, so the request's deadline and trace id
-        reach it.  Its ``plan.shard`` span finishes as a collected root and
+        :class:`ColumnSource` (per-shard read accounting over the caller's
+        cached fleet statistics, :meth:`ColumnSource.for_shard`) and runs in
+        a copy of the caller's context, so the request's deadline and trace
+        id reach it.  Its ``plan.shard`` span finishes as a collected root and
         hangs under the plan span in task order, whatever order the threads
         finish in.  A shard's exception re-raises here, first in task order.
         """
@@ -283,7 +284,7 @@ class ScanPlan:
     def _run_shard(self, shard: int, operator: Operator, items: Sequence,
                    parent) -> tuple:
         """``(shard result, collected root spans)`` of one shard thread."""
-        source = ColumnSource(self.source.store, index=self.source.index)
+        source = self.source.for_shard()
         trace = tracer()
         with trace.detached(), trace.collect() as roots:
             with trace.span(

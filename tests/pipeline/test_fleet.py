@@ -90,6 +90,24 @@ class TestFleetEncoding:
         # The flat container expands back to the whole index matrix.
         np.testing.assert_array_equal(runs.expand(), indices)
 
+    def test_rle_from_matrix_keeps_integer_dtype(self):
+        # A narrow decoded block run-length encodes in its own dtype, with
+        # the same three int64 arrays as its int64 copy.
+        from repro.pipeline import RLERuns
+
+        rng = np.random.default_rng(3)
+        narrow = rng.integers(0, 3, size=(5, 40)).astype(np.uint8)
+        narrow[1] = 2
+        wide = RLERuns.from_matrix(narrow.astype(np.int64))
+        runs = RLERuns.from_matrix(narrow)
+        for got, want in zip(runs, wide):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        floats = RLERuns.from_matrix(narrow.astype(np.float64))
+        for got, want in zip(floats, wide):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
     def test_window_one_is_identity_aggregation(self, fleet_values):
         fleet = FleetEncoder(alphabet_size=4, window=1, shared_table=True)
         np.testing.assert_array_equal(fleet.aggregate(fleet_values), fleet_values)

@@ -342,9 +342,9 @@ class TestThreadSafety:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                before = registry().counter_value("store.runs_read_total")
+                before = registry().counter_value("store.columns_decoded_total")
                 sharded = engine.anomaly(workers=8)
-                read = registry().counter_value("store.runs_read_total") - before
+                read = registry().counter_value("store.columns_decoded_total") - before
                 assert read == store.n_meters
                 assert sharded.scores.tobytes() == serial.scores.tobytes()
         finally:

@@ -2,23 +2,36 @@
 
 Correctness is pinned against decoded-matrix references; the determinism
 contract (bit-identical for every worker count) and the drift operator's
-"zero columns decoded" guarantee are asserted explicitly.
+"zero columns decoded" guarantee are asserted explicitly.  A property test
+pins anomaly's transition counts on both layouts (dense stores count
+adjacent symbol pairs, RLE stores read their runs) against the written
+symbols, for bare files (ragged ones included), one segment and many.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lookup import LookupTable
 from repro.errors import QueryError
-from repro.query import QueryEngine, write_query_index
+from repro.query import ColumnSource, QueryEngine, write_query_index
+from repro.query.ops import AnomalyOperator
 from repro.store import (
+    DENSE,
+    RLE,
     append_segment,
     create_segmented_store,
     open_store,
     write_segmented_fleet,
 )
+
+from ..store.test_runs_block import _write
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +62,87 @@ def _reference_transition_counts(matrix: np.ndarray, k: int) -> np.ndarray:
         pairs = matrix[row, :-1] * k + matrix[row, 1:]
         counts[row] = np.bincount(pairs, minlength=k * k)
     return counts
+
+
+def _column_counts(rows, columns, k: int) -> np.ndarray:
+    """Reference counts of ``rows[c]`` for each ``c`` in ``columns``; rows
+    may differ in length."""
+    counts = [
+        _reference_transition_counts(np.asarray(rows[c], dtype=np.int64)[None, :], k)
+        for c in columns
+    ]
+    return np.vstack(counts) if counts else np.zeros((0, k * k), dtype=np.int64)
+
+
+@st.composite
+def symbol_fleets(draw):
+    """Symbols with plateaus (runs cross the cuts), the cuts of a
+    many-segment store, and a ragged copy for a bare file."""
+    alphabet = draw(st.sampled_from([2, 16, 17, 512]))
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, alphabet, size=(n, width))
+    keep = rng.random((n, width)) < draw(st.sampled_from([0.0, 0.6, 0.9]))
+    for t in range(1, width):                     # repeat the previous symbol
+        rows[:, t] = np.where(keep[:, t], rows[:, t - 1], rows[:, t])
+    cuts = sorted(draw(st.lists(st.integers(0, width), max_size=4)))
+    ragged = [row[: int(cut)] for row, cut in
+              zip(rows, rng.integers(0, width + 1, size=n))]
+    return alphabet, rows, cuts, ragged
+
+
+@given(fleet=symbol_fleets(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_anomaly_counts_match_reference_on_every_layout(fleet, data):
+    alphabet, rows, cuts, ragged = fleet
+    n = rows.shape[0]
+    scattered = sorted(data.draw(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+    ))
+    drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=9))
+    lists = [
+        list(range(n)), scattered, list(range(n))[::-1], [n - 1, 0, n - 1],
+        [], drawn,
+    ]
+    stores = (
+        ("bare", list(rows), []), ("one", list(rows), []),
+        ("many", list(rows), cuts), ("bare", ragged, []),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for layout in (DENSE, RLE):
+            for at, (kind, symbols, kind_cuts) in enumerate(stores):
+                base = Path(tmp) / f"{layout}-{at}"
+                base.mkdir()
+                path = _write(base, kind, layout, alphabet, symbols, kind_cuts)
+                with QueryEngine.open(path) as engine:
+                    for columns in lists:
+                        counts = AnomalyOperator().run_shard(
+                            ColumnSource(engine.store), columns
+                        )
+                        np.testing.assert_array_equal(
+                            counts, _column_counts(symbols, columns, alphabet)
+                        )
+                    meters = [f"m{c}" for c in drawn]
+                    serial = engine.anomaly(meters=meters)
+                    for workers in (2, 4):
+                        sharded = engine.anomaly(meters=meters, workers=workers)
+                        assert sharded.scores.tobytes() == serial.scores.tobytes()
+                        assert (sharded.transitions.tobytes()
+                                == serial.transitions.tobytes())
+
+
+@pytest.mark.parametrize("layout", [DENSE, RLE])
+def test_ragged_bare_file_counts_each_column_at_its_length(tmp_path, layout):
+    rng = np.random.default_rng(8)
+    rows = [rng.integers(0, 16, size=width) for width in (50, 70, 1, 0, 90)]
+    path = _write(tmp_path, "bare", layout, 16, rows, [])
+    with QueryEngine.open(path) as engine:
+        report = engine.anomaly()
+        sharded = [engine.anomaly(workers=workers) for workers in (2, 4)]
+    assert report.transitions.tolist() == [49, 69, 0, 0, 89]
+    for other in sharded:
+        assert other.scores.tobytes() == report.scores.tobytes()
 
 
 class TestAnomaly:

@@ -22,6 +22,7 @@ from repro.query import (
     SymbolCountPrune,
     build_query_index,
 )
+from repro.obs import registry
 from repro.query.ops import Operator
 from repro.store import (
     RLE, append_segment, open_store, write_fleet_store, write_segmented_fleet,
@@ -214,6 +215,26 @@ class TestEngineSourceCache:
     def test_engine_keeps_one_source_per_store(self, file_store):
         engine = QueryEngine(file_store)
         assert engine.source is engine.source
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_sharded_aggregate_reuses_the_engines_cached_stats(
+        self, seg_dir, workers
+    ):
+        """After one serial aggregate, shard threads start from the engine
+        source's cached histograms, peaks and run counts: no payload read."""
+        reg = registry()
+        with QueryEngine.open(seg_dir) as engine:
+            serial = engine.aggregate()
+            runs = reg.counter_value("store.runs_read_total")
+            columns = reg.counter_value("store.columns_decoded_total")
+            sharded = engine.aggregate(workers=workers)
+            assert reg.counter_value("store.runs_read_total") == runs
+            assert reg.counter_value("store.columns_decoded_total") == columns
+        assert sharded.ids == serial.ids
+        for field in ("symbol_counts", "peak_level", "duty_cycle",
+                      "run_count", "mean_run_length"):
+            assert (getattr(sharded, field).tobytes()
+                    == getattr(serial, field).tobytes())
 
     def test_rle_store_round_trips_through_plan(self, tmp_path, fleet_values):
         rle = write_fleet_store(
