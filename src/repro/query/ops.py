@@ -220,10 +220,14 @@ class ColumnSource:
         self._m_columns.inc(n)
         self._m_blocks.inc()
 
-    def matrix(self, meters=None, window_range=None) -> np.ndarray:
-        """Block-granular index matrix read (counted)."""
-        self._count_decode(self.store.n_meters if meters is None else len(meters))
-        result = self.store.matrix(meters=meters, window_range=window_range)
+    def matrix(self, meters=None, window_range=None, columns=None) -> np.ndarray:
+        """One counted read, one :func:`~repro.store.format.read_spans`
+        decode, of the meter ids ``meters`` or the column positions
+        ``columns`` (every column when both are ``None``)."""
+        if meters is not None:
+            columns = self.resolve(meters)
+        self._count_decode(self.n_columns if columns is None else len(columns))
+        result = self.store._read(columns, window_range)
         self._m_bytes.inc(int(result.nbytes))
         return result
 
@@ -269,10 +273,7 @@ class ColumnSource:
             group = np.flatnonzero(widths == width)
             for start in range(0, group.size, step):
                 rows = group[start: start + step]
-                self._count_decode(rows.size)
-                symbols = self.store._read(cols[rows], None)
-                self._m_bytes.inc(int(symbols.nbytes))
-                yield rows, symbols
+                yield rows, self.matrix(columns=cols[rows])
 
     def runs(self, meter) -> tuple:
         """``(run_values, run_lengths)`` of one column: a one-column block."""
@@ -492,9 +493,9 @@ def _knn_block(
         missing = ranks[~have[ranks]]
         if missing.size:
             missing = np.unique(missing)
-            decoded[missing] = source.matrix(
-                meters=[store.ids[int(candidates[m])] for m in missing]
-            )
+            # By position: a store may repeat an id, and an id names its
+            # last column.
+            decoded[missing] = source.matrix(columns=candidates[missing])
             have[missing] = True
 
     if index is not None:

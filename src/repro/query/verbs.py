@@ -15,6 +15,13 @@ served body equals ``verb.answer(engine, params)`` on the same store, and
 remote CLI output equals local output, by construction.  A new verb is one
 entry here, its operator and a CLI renderer.
 
+:class:`AppendParams` checks a segment append's body on the server and
+makes it on the client.  It is not a :data:`VERBS` entry: every verb
+answers from a leased snapshot through an engine method, and the server,
+the client and ``repro query`` run every entry that way; an append writes
+the store, so listing it would make that shared code branch on read
+versus write.
+
 The engine reads its defaults from here, so this module imports the engine
 only inside :meth:`KNNParams.keywords`; it never imports :mod:`repro.serve`.
 """
@@ -33,6 +40,7 @@ from ..errors import BadRequest, QueryError
 __all__ = [
     "AggParams",
     "AnomalyParams",
+    "AppendParams",
     "DriftParams",
     "KNNParams",
     "MatchParams",
@@ -132,6 +140,26 @@ def _pack(queries) -> Dict[str, Any]:
             "float64": base64.b64encode(raw).decode("ascii")}
 
 
+def _indices(name: str, value) -> np.ndarray:
+    """``indices`` — nested lists of JSON integers or, on the client, an
+    integer array — as an int64 ``(meters, windows)`` matrix, or a 400.
+    ``np.asarray`` alone would read ``"3"``, ``true`` and ``2.7`` as symbols."""
+    try:
+        matrix = np.asarray(value, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadRequest(f"'{name}' is not an integer matrix: {exc}")
+    if isinstance(value, np.ndarray):
+        integers = value.dtype.kind in "iu"
+    else:
+        integers = matrix.ndim == 2 and all(
+            type(v) is int for row in value for v in row
+        )
+    if matrix.ndim != 2 or not integers:
+        raise BadRequest(f"'{name}' must be a (meters, windows) matrix of "
+                         f"integers, not strings, booleans or floats")
+    return matrix
+
+
 def _plain(value) -> Any:
     """Meter ids as JSON scalars (numpy ints ride in id lists)."""
     if isinstance(value, np.integer):
@@ -157,6 +185,8 @@ QUERIES = Wire(_queries, _pack)
 PATTERN = Wire(
     _typed("a non-empty string", lambda v: type(v) is str and v != ""), str
 )
+STRING = Wire(_typed("a string", lambda v: type(v) is str), str)
+INDICES = Wire(_indices, lambda value: _indices("indices", value).tolist())
 
 
 def _field(wire: Wire, default: Any = MISSING):
@@ -269,6 +299,16 @@ class PrivateAggParams(Params):
     meters: Optional[List] = _field(ID_LIST, None)
     level: Optional[int] = _field(INTEGER, None)
     epsilon: Optional[float] = _field(NUMBER, None)
+
+
+@dataclass(frozen=True)
+class AppendParams(Params):
+    """A segment append: the ``(meters, windows)`` symbol matrix, the
+    manifest ``reason``, and an optional idempotency key."""
+
+    indices: Any = _field(INDICES)
+    reason: str = _field(STRING, "append")
+    idempotency_key: Optional[str] = _field(STRING, None)
 
 
 # -- result codecs ------------------------------------------------------------

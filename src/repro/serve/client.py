@@ -18,8 +18,10 @@ ways:
 
 Appends carry **idempotency keys** (auto-generated UUIDs unless given), so
 a retry after an ambiguous failure — the response never arrived, the server
-may or may not have committed — cannot duplicate the append: the server
-finds the key in its manifest and replays the original answer.
+may or may not have committed — cannot duplicate the append: the store
+finds the key in its manifest under its writer lock, and the server answers
+with the committed segment.  :class:`~repro.query.verbs.AppendParams`
+builds the body and the server checks it with the same class.
 
 The query methods (``knn``, ``match``, ``agg``, ``anomaly``, ``drift``,
 ``private_agg``) are generated from :data:`repro.query.verbs.VERBS`: each
@@ -56,7 +58,7 @@ from ..errors import (
     UnknownStore,
 )
 from ..obs import current_trace_id
-from ..query.verbs import VERBS, Params, Verb
+from ..query.verbs import VERBS, AppendParams, Params, Verb
 
 __all__ = ["RetryBudget", "RetryPolicy", "ServeClient", "ServeResponse"]
 
@@ -340,13 +342,9 @@ class ServeClient:
         """Append a segment; safe to retry (key auto-generated if absent)."""
         if idempotency_key is None:
             idempotency_key = uuid.uuid4().hex
-        if hasattr(indices, "tolist"):  # json can't take an ndarray
-            indices = indices.tolist()
-        body = {
-            "indices": indices,
-            "reason": reason,
-            "idempotency_key": idempotency_key,
-        }
+        body = AppendParams(
+            indices, reason=reason, idempotency_key=idempotency_key
+        ).to_body()
         return self._call("POST", f"/stores/{store}/append", body)
 
 

@@ -7,7 +7,8 @@
   and a bounded :class:`~repro.serve.admission.AdmissionGate` answer 429 /
   503 with ``Retry-After`` *before* a single store byte is touched;
 * **deadlines into the scan** — ``deadline_ms`` (body or
-  ``X-Deadline-Ms`` header) becomes a :class:`~repro.query.plan.Deadline`
+  ``X-Deadline-Ms`` header; a finite number > 0, else a 400) becomes a
+  :class:`~repro.query.plan.Deadline`
   the plan driver checks between chunks and refine rounds, so expiry is a
   504 with partial-work accounting, not an overstayed request;
 * **snapshot leases + hot reload** — every request leases an immutable
@@ -24,30 +25,35 @@
   :class:`~repro.serve.breaker.CircuitBreaker`: the quarantine-aware
   snapshot keeps answering (``"degraded": true``) while a background
   ``scrub_store(repair=True)`` heals, and a timed half-open trial
-  re-verifies before the flag clears;
-* **idempotent appends** — ``POST /stores/<name>/append`` with an
-  ``idempotency_key`` stores the key in the committed segment's manifest
-  ``reason``, so a client retry after a crash (even SIGKILL) finds the
-  key and returns the original result instead of appending twice.  The
-  appended segment carries the lookup tables of the store's newest live
-  segment, so ``knn`` and ``private_agg`` keep answering after it.
+  re-verifies before the flag clears.  A reload reads the damage off the
+  snapshot it opened: its ``quarantined`` segments and ``rolled_back``
+  manifests;
+* **idempotent appends** — ``POST /stores/<name>/append`` checks its body
+  with :class:`~repro.query.verbs.AppendParams` and makes one
+  :func:`~repro.store.append_segment` call, which keeps the
+  ``idempotency_key`` in the manifest ``reason`` and looks it up under the
+  store's writer lock: a retry after a crash (even SIGKILL), or the same
+  key through another server process, gets the committed segment back.
+  The appended segment carries the lookup tables of the store's newest
+  live segment, so ``knn`` and ``private_agg`` keep answering after it.
 
 Fault seams: handlers pass ``serve.handle`` (checkpoint) after admission
 and write response bodies through ``faults.write(..., "serve.response")``,
 so the fault matrix can inject slow handlers and mid-response disconnects.
 An :class:`~repro.store.faults.InjectedCrash` there kills only that
-connection — the server keeps serving, which is the point.
+connection — the server keeps serving, which is the point.  So does a body
+that stops arriving: a socket wait longer than ``_Handler.timeout`` closes
+the connection.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-import numpy as np
 
 from ..errors import (
     BadRequest,
@@ -68,14 +74,8 @@ from ..obs import (
     tracer as obs_tracer,
 )
 from ..query import Deadline, QueryEngine
-from ..query.verbs import VERBS
-from ..store import (
-    append_segment,
-    faults,
-    find_segment,
-    scrub_store,
-    snapshot_stamp,
-)
+from ..query.verbs import NUMBER, VERBS, AppendParams
+from ..store import append_segment, faults, scrub_store, snapshot_stamp
 from ..store.faults import InjectedCrash
 from . import protocol
 from .admission import AdmissionGate
@@ -157,13 +157,8 @@ class _Snapshot:
             pass
 
 
-#: ``warnings.catch_warnings`` mutates process-global state; snapshot opens
-#: (the only place the server records warnings) serialize on this.
-_OPEN_LOCK = threading.Lock()
-
-
 class _StoreHandle:
-    """Per-exported-store state: snapshot, breaker, scrub, append lock."""
+    """Per-exported-store state: snapshot, breaker, scrub."""
 
     def __init__(self, name: str, path: Path, config: ServerConfig) -> None:
         self.name = name
@@ -174,7 +169,6 @@ class _StoreHandle:
             reset_timeout=config.breaker_reset_s,
         )
         self.lock = threading.Lock()
-        self.append_lock = threading.Lock()
         self.snapshot: Optional[_Snapshot] = None
         self.reloads_total = 0
         self._scrub_lock = threading.Lock()
@@ -212,52 +206,39 @@ class _StoreHandle:
         :meth:`QueryEngine.reopen`, which opens only the new segments and
         carries its summaries forward; with no snapshot, or a degraded one
         (a breaker trial among them), the store opens cold.  The open itself
-        never raises for quarantined segments or a rolled back manifest: it
-        reports each as a :class:`StoreIntegrityWarning`, which counts one
-        breaker failure and marks the snapshot degraded.  A granted trial
-        additionally records one failure when the open reports damage (one
-        success when it does not); a refused trial serves degraded.
+        never raises for quarantined segments or a rolled back manifest: the
+        store lists them (``quarantined``, ``rolled_back``), and each entry
+        counts one breaker failure and marks the snapshot degraded.  A
+        granted trial records one success when the open finds no damage (a
+        damaged one fails through those entries); a refused trial serves
+        degraded.
         """
-        import warnings as warnings_mod
-
-        from ..errors import StoreIntegrityWarning
-
         trial = self.breaker.allow_trial() if trial is None else trial
-        with _OPEN_LOCK:
-            with warnings_mod.catch_warnings(record=True) as caught:
-                warnings_mod.simplefilter("always")
-                try:
-                    if retiring is None or retiring.degraded:
-                        with obs_tracer().span(
-                            "store.reopen", summaries="rebuilt"
-                        ) as span:
-                            engine = QueryEngine.open(self.path)
-                            span.set_attributes(
-                                generation=engine.store.generation,
-                                segments_shared=engine.store.segments_shared,
-                                segments_opened=engine.store.segments_opened,
-                            )
-                    else:
-                        engine = retiring.engine.reopen()
-                except (CorruptStoreError, OSError):
-                    # Nothing can be served: every manifest is damaged, or
-                    # a bare file (which has no segments to skip) is.
-                    if trial:
-                        self.breaker.record_failure()
-                    raise
-        integrity = [
-            w for w in caught
-            if isinstance(w.message, StoreIntegrityWarning)
-            and getattr(w.message, "reason", "") != "stale-index"
-        ]
-        degraded = bool(integrity) or not trial
-        if trial:
-            if integrity:
-                self.breaker.record_failure()
+        try:
+            if retiring is None or retiring.degraded:
+                with obs_tracer().span(
+                    "store.reopen", summaries="rebuilt"
+                ) as span:
+                    engine = QueryEngine.open(self.path)
+                    span.set_attributes(
+                        generation=engine.store.generation,
+                        segments_shared=engine.store.segments_shared,
+                        segments_opened=engine.store.segments_opened,
+                    )
             else:
-                self.breaker.record_success()
-        for _ in integrity:
+                engine = retiring.engine.reopen()
+        except (CorruptStoreError, OSError):
+            # Nothing can be served: every manifest is damaged, or a bare
+            # file (which has no segments to skip) is.
+            if trial:
+                self.breaker.record_failure()
+            raise
+        damage = len(engine.store.quarantined) + len(engine.store.rolled_back)
+        for _ in range(damage):
             self.breaker.record_failure()
+        if trial and not damage:
+            self.breaker.record_success()
+        degraded = bool(damage) or not trial
         if degraded:
             self.start_scrub()
         snapshot = _Snapshot(
@@ -359,6 +340,9 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; all state lives on ``self.server`` (the QueryServer)."""
 
     protocol_version = "HTTP/1.1"
+    #: Seconds one socket read or write may wait, so a body shorter than its
+    #: ``Content-Length`` closes the connection instead of holding a thread.
+    timeout = 30.0
     #: Set by QueryServer subclassing machinery.
     manager: StoreManager
     gate: AdmissionGate
@@ -407,7 +391,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.flush()
             except Exception:
                 pass
-        except (BrokenPipeError, ConnectionResetError):
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
             self.close_connection = True
 
     def _send_error(self, error: BaseException) -> None:
@@ -418,29 +402,36 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, protocol.error_body(error), retry_after)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > protocol.MAX_BODY_BYTES:
+        """The body; a ``Content-Length`` outside ``0..MAX_BODY_BYTES`` is a
+        400 before any body byte is read, and its unread bytes close the
+        connection."""
+        header = self.headers.get("Content-Length") or "0"
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if not 0 <= length <= protocol.MAX_BODY_BYTES:
+            self.close_connection = True
             raise BadRequest(
-                f"request body of {length} bytes exceeds the "
-                f"{protocol.MAX_BODY_BYTES}-byte limit"
+                f"Content-Length must be an integer from 0 to "
+                f"{protocol.MAX_BODY_BYTES}, got {header!r}"
             )
         return self.rfile.read(length) if length else b""
 
     def _deadline(self, body: Dict) -> Optional[Deadline]:
+        """``deadline_ms`` from the body, else the ``X-Deadline-Ms`` header,
+        else the server's default: a finite number > 0, or a 400."""
         ms = body.get("deadline_ms")
-        if ms is None:
-            header = self.headers.get("X-Deadline-Ms")
-            ms = float(header) if header else None
+        header = self.headers.get("X-Deadline-Ms")
+        if ms is None and header:
+            try:
+                ms = float(header)
+            except ValueError:
+                ms = header  # refused below, as a string
         if ms is None:
             ms = self.server_config.default_deadline_ms
         if ms is None:
             return None
-        try:
-            ms = float(ms)
-        except (TypeError, ValueError):
-            raise BadRequest(f"deadline_ms must be a number, got {ms!r}")
-        if ms <= 0:
-            raise BadRequest(f"deadline_ms must be > 0, got {ms}")
+        ms = NUMBER.check("deadline_ms", ms)
+        if not (math.isfinite(ms) and ms > 0):
+            raise BadRequest(f"'deadline_ms' must be finite and > 0, got {ms}")
         return Deadline.from_ms(ms)
 
     # -- routing -----------------------------------------------------------------
@@ -540,7 +531,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(error)
         except ReproError as error:
             self._send_error(error)
-        except InjectedCrash:
+        except (InjectedCrash, TimeoutError):  # or a body stopped arriving
             self.close_connection = True
         except Exception as error:  # noqa: BLE001 — the never-crash contract
             self._send_error(error)
@@ -629,46 +620,21 @@ class _Handler(BaseHTTPRequestHandler):
                 f"store {handle.name!r} is a single file; only segmented "
                 f"stores accept appends"
             )
-        indices = body.get("indices")
-        if indices is None:
-            raise BadRequest("append body needs an 'indices' matrix")
-        try:
-            matrix = np.asarray(indices, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadRequest(f"'indices' is not an integer matrix: {exc}")
-        # np.asarray reads "3", true and 2.7 as symbols 3, 1 and 2; a JSON
-        # integer is an int (bool subclasses it, so compare types exactly).
-        rows = indices if matrix.ndim == 2 else []
-        if any(type(v) is not int for row in rows for v in row):
-            raise BadRequest(
-                "'indices' must hold JSON integers only, not strings, "
-                "booleans or floats"
-            )
-        reason = str(body.get("reason", "append"))
-        key = body.get("idempotency_key")
-        if key is not None:
-            reason = f"{reason}:key={key}"
-        with handle.append_lock:
-            if key is not None:
-                prior = self._find_append(handle.path, reason)
-                if prior is not None:
-                    obs_registry().counter(
-                        "serve.append_duplicates_total"
-                    ).inc()
-                    self._send(200, dict(prior, duplicate=True))
-                    return
-            record = append_segment(
-                handle.path, matrix, tables=self._epoch_tables(handle),
-                reason=reason,
-            )
-            obs_registry().counter("serve.appends_total").inc()
-            generation = snapshot_stamp(handle.path)
+        params = AppendParams.from_body(body)
+        record = append_segment(
+            handle.path, params.indices, tables=self._epoch_tables(handle),
+            reason=params.reason, key=params.idempotency_key,
+        )
+        obs_registry().counter(
+            "serve.append_duplicates_total" if record.duplicate
+            else "serve.appends_total"
+        ).inc()
         self._send(200, {
             "segment": record.name,
             "windows": int(record.windows),
             "n_symbols": int(record.n_symbols),
-            "generation": int(generation),
-            "duplicate": False,
+            "generation": record.generation,
+            "duplicate": record.duplicate,
         })
 
     @staticmethod
@@ -682,25 +648,6 @@ class _Handler(BaseHTTPRequestHandler):
             return segments[-1].tables if segments else None
         finally:
             snapshot.release()
-
-    @staticmethod
-    def _find_append(path: Path, reason: str) -> Optional[Dict]:
-        """Locate a committed segment by its idempotency-bearing reason.
-
-        The key rides in the manifest (durable, fsynced), so this survives
-        a server SIGKILL between commit and response: the retry finds the
-        segment and answers without appending again.
-        """
-        found = find_segment(path, reason)
-        if found is None:
-            return None
-        generation, record = found
-        return {
-            "segment": record.name,
-            "windows": int(record.windows),
-            "n_symbols": int(record.n_symbols),
-            "generation": generation,
-        }
 
 
 class QueryServer:

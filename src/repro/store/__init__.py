@@ -68,7 +68,6 @@ from .segments import (
     SymbolStore,
     append_segment,
     create_segmented_store,
-    find_segment,
     open_store,
     scrub_store,
     snapshot_stamp,
@@ -100,7 +99,6 @@ __all__ = [
     "crc32c_hex",
     "create_segmented_store",
     "day_vector_store_path",
-    "find_segment",
     "load_day_vectors",
     "open_store",
     "pack_indices",

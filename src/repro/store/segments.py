@@ -38,7 +38,9 @@ Durability contract (driven fault by fault in ``tests/store/test_faults.py``):
 * **Concurrent writers** — :func:`append_segment` and a repairing
   :func:`scrub_store` hold the directory's one writer lock from reading the
   manifest to committing the next, so a repair never deletes a segment an
-  append has yet to commit and no two writers race for one generation.
+  append has yet to commit and no two writers race for one generation.  An
+  append's idempotency key is looked up in the manifest read under that
+  lock, so one key sent through two processes at once commits once.
 
 A reader moves to a new generation with :meth:`SymbolStore.reopen`, which
 opens only the segments whose manifest record changed and shares the rest.
@@ -63,7 +65,7 @@ import re
 import threading
 import warnings
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -90,7 +92,6 @@ __all__ = [
     "ScrubReport",
     "append_segment",
     "create_segmented_store",
-    "find_segment",
     "open_store",
     "scrub_store",
     "snapshot_stamp",
@@ -137,6 +138,10 @@ class SegmentRecord:
     start_window: int           # cumulative window offset at commit time
     n_symbols: int
     reason: str = "append"      # "append" | "drift" | "bootstrap" | ...
+    #: Only on the record :func:`append_segment` returns, never stored: the
+    #: generation it answered at, and whether its key was already committed.
+    generation: Optional[int] = field(default=None, compare=False)
+    duplicate: bool = field(default=False, compare=False)
 
     def to_dict(self) -> Dict:
         return {
@@ -965,6 +970,7 @@ def append_segment(
     tables: Union[LookupTable, Sequence[LookupTable], None] = None,
     workers: int = 1,
     reason: str = "append",
+    key: Optional[str] = None,
 ) -> SegmentRecord:
     """Append one immutable segment and commit a new manifest generation.
 
@@ -972,6 +978,12 @@ def append_segment(
     span, row order matching the manifest's meter ids (the first append on an
     id-less store pins positional ids ``0..n-1``).  ``tables`` is the shared
     :class:`LookupTable` of the span, one table per meter, or ``None``.
+
+    ``key`` makes the append idempotent: the committed reason is
+    ``f"{reason}:key={key}"``, and when the manifest read under the writer
+    lock already holds that reason, the call returns its record with
+    ``duplicate`` set and writes nothing, so one key commits once however
+    many processes send it.
 
     Commit protocol: the segment file lands first (its own temp → fsync →
     rename), then the manifest; a crash between the two leaves an orphan
@@ -985,8 +997,15 @@ def append_segment(
     from .fleet import _meter_shards, _write_shards
 
     directory = Path(directory)
+    if key is not None:
+        reason = f"{reason}:key={key}"
     with _writer_lock(directory):
         manifest, _, _ = _select_manifest(directory)
+        generation = int(manifest["generation"])
+        for data in manifest.get("segments", []):
+            if key is not None and data.get("reason") == reason:
+                return replace(SegmentRecord.from_dict(data),
+                               generation=generation, duplicate=True)
         matrix = np.asarray(indices, dtype=np.int64)
         if matrix.ndim != 2:
             raise StoreError(f"expected a 2-D (meters, windows) matrix, got {matrix.shape}")
@@ -1037,10 +1056,11 @@ def append_segment(
             start_window=start_window,
             n_symbols=int(matrix.size),
             reason=reason,
+            generation=generation + 1,
         )
         faults.checkpoint("segments.before_manifest")
         manifest = dict(manifest)
-        manifest["generation"] = int(manifest["generation"]) + 1
+        manifest["generation"] = record.generation
         manifest["ids"] = list(ids)
         manifest["segments"] = list(manifest.get("segments", [])) + [record.to_dict()]
         _write_manifest(directory, manifest)
@@ -1140,18 +1160,6 @@ def snapshot_stamp(path: Union[str, Path]):
         return generations[0] if generations else -1
     stat = path.stat()
     return (stat.st_mtime_ns, stat.st_size)
-
-
-def find_segment(
-    directory: Union[str, Path], reason: str
-) -> Optional[Tuple[int, SegmentRecord]]:
-    """``(generation, record)`` of the committed segment whose manifest
-    ``reason`` is ``reason``, or ``None`` — read off the manifest alone."""
-    manifest, _, _ = _select_manifest(Path(directory))
-    for data in manifest.get("segments", []):
-        if data.get("reason") == reason:
-            return int(manifest["generation"]), SegmentRecord.from_dict(data)
-    return None
 
 
 # -- scrub: verify + garbage-collect + repair ------------------------------------
