@@ -2,9 +2,10 @@
 
 The PR 6 kernel-speed pass in numbers: symbols/s per bit-width for the
 pack / unpack / slice kernels (LUT + strided decode for aligned widths,
-phase decode for odd ones), the run-aware RLE distance against the
-expand-then-gather form, and the batched multi-query bound against the
-per-query matvec it replaced.  CI runs this file with
+phase decode for odd ones), and the batched multi-query bound against the
+per-query matvec it replaced.  Exact kNN scoring is gated end to end by
+``test_knn_pruned_throughput`` and ``test_knn_brute_force_throughput`` in
+``test_query_throughput.py``.  CI runs this file with
 ``--benchmark-json=BENCH_kernels.json`` and uploads it next to the other
 artifacts; ``benchmarks/check_perf_floors.py`` then asserts every
 ``extra_info`` throughput stays above the generous floors checked in at
@@ -17,12 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.query.distance import (
-    banded_min_cells,
-    gathered_squared_distances,
-    histogram_bound,
-    rle_squared_distances,
-)
+from repro.query.distance import banded_min_cells, histogram_bound
 from repro.store import pack_indices, unpack_indices, unpack_slice
 
 from .conftest import write_result
@@ -93,63 +89,13 @@ def test_unpack_slice_throughput_per_width(
 
 # -- distance kernels --------------------------------------------------------------
 
-#: The distance micro-benchmarks mirror the kNN refine shape: a week of
+#: The bound micro-benchmarks mirror the kNN refine shape: a week of
 #: 15-minute windows, 16 symbols, a few hundred candidates.
 T_WINDOWS = 672
 ALPHABET = 16
 N_CANDIDATES = 256
 N_BANDS = 8
 N_QUERIES = 64
-
-
-@pytest.fixture(scope="module")
-def distance_workload():
-    rng = np.random.default_rng(7)
-    cells = rng.random((T_WINDOWS, ALPHABET))
-    matrix = rng.integers(
-        0, ALPHABET, size=(N_CANDIDATES, T_WINDOWS), dtype=np.uint8
-    )
-    # Run-length encode each candidate row (standby-heavy columns would
-    # have far fewer runs; random symbols are the worst case for RLE).
-    values, lengths, offsets = [], [], [0]
-    for row in matrix:
-        bounds = np.flatnonzero(np.diff(row)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [row.size]])
-        values.append(row[starts])
-        lengths.append(ends - starts)
-        offsets.append(offsets[-1] + starts.size)
-    return {
-        "cells": cells,
-        "matrix": matrix,
-        "values": np.concatenate(values),
-        "lengths": np.concatenate(lengths),
-        "offsets": np.asarray(offsets),
-    }
-
-
-def test_expanded_distance_throughput(benchmark, distance_workload):
-    """The gather-sum exact distance over expanded symbol rows."""
-    w = distance_workload
-    d2 = benchmark(gathered_squared_distances, w["cells"], w["matrix"])
-    assert d2.shape == (N_CANDIDATES,)
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["candidates_per_s"] = N_CANDIDATES / mean
-    _RESULT_LINES[("distance_expanded", 0)] = N_CANDIDATES / mean
-
-
-def test_rle_distance_throughput(benchmark, distance_workload):
-    """The run-aware exact distance straight off the RLE payload."""
-    w = distance_workload
-    d2 = benchmark(
-        rle_squared_distances, w["cells"], w["values"], w["lengths"], w["offsets"]
-    )
-    expect = gathered_squared_distances(w["cells"], w["matrix"])
-    np.testing.assert_allclose(d2, expect, rtol=1e-9)
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["candidates_per_s"] = N_CANDIDATES / mean
-    benchmark.extra_info["runs_total"] = int(w["values"].size)
-    _RESULT_LINES[("distance_rle", 0)] = N_CANDIDATES / mean
 
 
 @pytest.fixture(scope="module")
@@ -213,14 +159,6 @@ def test_write_kernel_results(results_dir):
         )
         if row:
             lines.append(f"  {label:13s} {row}")
-    for label, title in (
-        ("distance_expanded", "expanded distance"),
-        ("distance_rle", "RLE distance"),
-    ):
-        if (label, 0) in _RESULT_LINES:
-            lines.append(
-                f"  {title:17s} {_RESULT_LINES[(label, 0)]:.0f} candidates/s"
-            )
     for label, title in (
         ("bound_batched", "batched bound"),
         ("bound_per_query", "per-query bound"),

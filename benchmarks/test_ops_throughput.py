@@ -25,7 +25,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.query import ColumnSource, QueryEngine, aggregate_store
+from repro.query import (
+    ColumnSource,
+    MatchOperator,
+    QueryEngine,
+    ScanPlan,
+    SymbolPattern,
+    aggregate_store,
+)
 from repro.store import RLE, write_fleet_store, write_segmented_fleet
 
 N_METERS = 192
@@ -67,7 +74,7 @@ def rle_store(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def segmented_store(tmp_path_factory):
-    """``SEGMENTS`` hourly segments and no index, so match scans every column."""
+    """``SEGMENTS`` hourly segments and no sidecar index."""
     path = tmp_path_factory.mktemp("bench_ops_seg") / "fleet.rsyms"
     write_segmented_fleet(
         path, _fleet_values(SEGMENTS * WINDOWS_PER_SEGMENT),
@@ -163,9 +170,14 @@ def test_segmented_anomaly_throughput(benchmark, segmented_store):
 
 
 def test_segmented_match_throughput(benchmark, segmented_store):
-    """Run-level pattern match over hourly segments, every column scanned."""
+    """Run-level pattern match over hourly segments, every column scanned:
+    the match operator alone, with no index pruning stage in its plan."""
     engine = QueryEngine.open(segmented_store)
-    matches = benchmark(engine.match, MATCH_PATTERN)
+    pattern = SymbolPattern.parse(MATCH_PATTERN, ALPHABET)
+    plan = ScanPlan(
+        engine.source, MatchOperator(tokens=pattern.tokens, label=pattern.text)
+    )
+    matches = benchmark(plan.run)
     assert matches.columns_scanned == N_METERS
     mean = benchmark.stats.stats.mean
     benchmark.extra_info["columns_per_s"] = N_METERS / mean

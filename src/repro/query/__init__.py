@@ -44,10 +44,8 @@ from .distance import (
     banded_min_cells,
     breakpoints_of,
     cell_bounds,
-    gathered_squared_distances,
     histogram_bound,
     mindist,
-    rle_squared_distances,
     value_cell_bounds,
 )
 from .engine import (
@@ -120,13 +118,11 @@ __all__ = [
     "build_query_index",
     "cell_bounds",
     "check_deadline",
-    "gathered_squared_distances",
     "histogram_bound",
     "match_runs",
     "mindist",
     "query_index_path",
     "resolve_shared_table",
-    "rle_squared_distances",
     "value_cell_bounds",
     "write_query_index",
 ]

@@ -7,6 +7,9 @@ arrays the store keeps on disk.  Per-day variants reshape by the store's
 ``windows_per_day`` metadata, answering "which meters ran >= 6 hours at the
 top level on day 3?" without rebuilding a :class:`FleetEncoder`.
 
+Symbol counts and peaks come off the :class:`~repro.query.index.QueryIndex`
+attached to the plan's source, the one place fleet histograms are
+computed; run counts come off RLE headers or one run-length scan.
 Execution is a :class:`~repro.query.plan.ScanPlan` over an
 :class:`~repro.query.ops.AggregateOperator`: ``workers > 1`` shards the
 column axis through the unified plan driver, and because shards return
@@ -23,7 +26,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..store.segments import SymbolStore
-from .index import QueryIndex
+from .index import QueryIndex, build_query_index
 from .verbs import AggParams
 
 __all__ = ["AggregateReport", "aggregate_store"]
@@ -78,14 +81,13 @@ def aggregate_store(
 ) -> AggregateReport:
     """Compute the pushdown aggregates for ``meters`` (default: all).
 
-    A matching :class:`QueryIndex` supplies histograms and peaks without a
-    payload pass; otherwise one shard scan computes them (runs-weighted for
-    RLE columns, vectorized unpack for dense).  ``per_day`` requires the
-    store's ``windows_per_day`` metadata and equal column lengths.
-
-    ``source`` (a :class:`~repro.query.ops.ColumnSource`) lets a caller —
-    the :class:`QueryEngine` — reuse one source across calls so fleet
-    statistics are decoded at most once per open store.
+    Histograms and peaks come off the index of ``source`` (a
+    :class:`~repro.query.ops.ColumnSource`; default: a new one over
+    ``store``).  A source without one gets ``index`` attached, after its
+    fingerprint check, or else an index built from ``store``.  The
+    :class:`QueryEngine` passes its own source, which holds its index and
+    cached run counts.  ``per_day`` requires the store's
+    ``windows_per_day`` metadata and equal column lengths.
     """
     from .ops import AggregateOperator, ColumnSource
     from .plan import ScanPlan
@@ -97,14 +99,12 @@ def aggregate_store(
     ids = list(store.ids) if meters is None else list(meters)
     columns = store._resolve_meters(meters)
     if source is None:
-        source = ColumnSource(store, index=index)
-    if index is None:
-        index = source.index
-    if index is not None:
-        index.check_store(store)
-    plan = ScanPlan(
-        source, AggregateOperator(level=level, index=index), items=columns
-    )
+        source = ColumnSource(store)
+    if source.index is None:
+        if index is not None:
+            index.check_store(store)
+        source.index = build_query_index(store) if index is None else index
+    plan = ScanPlan(source, AggregateOperator(level=level), items=columns)
     report = plan.run(workers=workers, deadline=deadline)
     report.ids = ids
     if per_day:

@@ -27,6 +27,14 @@ All kernels are pure array transforms over a breakpoint vector:
     against the *known* reconstruction values instead (tighter), so this
     kernel is the range-only fallback of the same family.
 
+:func:`banded_min_cells` / :func:`histogram_bound`
+    The kNN engine's index tier: per-band minima of a query's squared cells
+    against reconstruction values, and one matrix product of those minima
+    with the ``.rsymx`` band histograms that lower-bounds every candidate
+    at once.  Exact distances of the candidates that survive are scored
+    by the refine kernel in :mod:`repro.query.ops` (``_knn_block``), not
+    here.
+
 The bounds hold against the decoded reconstruction values whenever each
 symbol's reconstruction value lies inside its range, which is true for
 tables fit on the paper's non-negative power data and for
@@ -50,8 +58,6 @@ __all__ = [
     "value_cell_bounds",
     "banded_min_cells",
     "histogram_bound",
-    "gathered_squared_distances",
-    "rle_squared_distances",
 ]
 
 
@@ -248,92 +254,3 @@ def histogram_bound(
         )
     out = mins.reshape(mins.shape[0], -1) @ hist.reshape(hist.shape[0], -1).T
     return out[0] if squeeze else out
-
-
-def gathered_squared_distances(
-    cells: np.ndarray, matrix: np.ndarray
-) -> np.ndarray:
-    """Exact squared distances by gathering per-(position, symbol) cells.
-
-    ``cells`` is ``(T, k)`` squared distances from one query to every
-    symbol's reconstruction value; ``matrix`` is ``(C, T)`` candidate
-    symbol indices (any integer dtype — the store's narrowed ``uint8``
-    gathers directly).  Both the pruned and the brute-force kNN paths call
-    this exact expression on row-contiguous chunks, which is what makes
-    their float results identical bit for bit.
-
-    The gather runs as one flat ``take`` — ``cells[t, s]`` lives at flat
-    offset ``t * k + s`` — which skips the broadcast machinery of a 2-D
-    fancy index; the gathered ``(C, T)`` block and its ``axis=1`` pairwise
-    sum are element-for-element the ones the 2-D form produces.
-    """
-    cells = np.ascontiguousarray(cells)
-    T, k = cells.shape
-    flat = np.arange(T, dtype=np.intp) * k + matrix
-    return cells.take(flat.ravel()).reshape(matrix.shape).sum(axis=1)
-
-
-def rle_squared_distances(
-    cells: np.ndarray,
-    run_values: np.ndarray,
-    run_lengths: np.ndarray,
-    offsets: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Exact squared distances scored run by run — symbols never expanded.
-
-    ``cells`` is the query's ``(T, k)`` squared cells; ``run_values`` /
-    ``run_lengths`` are flat RLE arrays, split per candidate by ``offsets``
-    (``None`` scores one candidate).  A run of symbol ``s`` covering
-    windows ``[t0, t0 + len)`` contributes ``sum_t cells[t, s]`` — read as
-    a difference of the per-symbol prefix sums, so the work per candidate
-    is proportional to its *run count*, not its window count (a day that
-    compresses to 9 runs is scored in 9 lookups, not 96).
-
-    Mathematically equal to :func:`gathered_squared_distances` on the
-    expanded symbols; float rounding may differ in the last ulps because
-    runs sum in a different association order (the engine's bit-exact
-    paths keep using the gather form).
-    """
-    arr = np.asarray(cells, dtype=np.float64)
-    if arr.ndim != 2:
-        raise QueryError(f"cells must be (T, k), got {cells.shape}")
-    values = np.asarray(run_values, dtype=np.int64).ravel()
-    lengths = np.asarray(run_lengths, dtype=np.int64).ravel()
-    if values.shape != lengths.shape:
-        raise QueryError("run_values and run_lengths must be equal length")
-    if offsets is None:
-        offsets = np.array([0, values.size], dtype=np.int64)
-    else:
-        offsets = np.asarray(offsets, dtype=np.int64).ravel()
-        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != values.size:
-            raise QueryError(
-                "offsets must start at 0 and end at the total run count"
-            )
-    T = arr.shape[0]
-    n_cols = offsets.size - 1
-    if n_cols == 0:
-        return np.zeros(0, dtype=np.float64)
-    if values.size == 0:
-        return np.zeros(n_cols, dtype=np.float64)
-    if values.min() < 0 or values.max() >= arr.shape[1]:
-        raise QueryError(
-            f"run values out of range for alphabet of size {arr.shape[1]}"
-        )
-    runs_per_col = np.diff(offsets)
-    if np.any(runs_per_col < 0):
-        raise QueryError("offsets must be non-decreasing")
-    if T > 0 and np.any(runs_per_col == 0):
-        raise QueryError(
-            f"every candidate needs runs summing to the query length {T}"
-        )
-    run_col = np.repeat(np.arange(n_cols), runs_per_col)
-    ends = np.cumsum(lengths) - T * run_col
-    starts = ends - lengths
-    if np.any(ends[offsets[1:] - 1] != T) or starts.min() < 0:
-        raise QueryError(
-            f"run lengths must sum to the query length {T} per candidate"
-        )
-    prefix = np.zeros((T + 1, arr.shape[1]), dtype=np.float64)
-    np.cumsum(arr, axis=0, out=prefix[1:])
-    contrib = prefix[ends, values] - prefix[starts, values]
-    return np.add.reduceat(contrib, offsets[:-1])

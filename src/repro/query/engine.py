@@ -38,6 +38,15 @@ workloads (:meth:`QueryEngine.anomaly`, :meth:`QueryEngine.drift`,
 :class:`~repro.query.ops.ColumnSource`; ``workers > 1`` runs the plan's
 shards on threads over the engine's own open store (task-ordered merge),
 and results are bit-identical for every worker count.
+
+An engine answers from exactly one :class:`~repro.query.index.QueryIndex`
+(:meth:`QueryEngine.index`): the fresh ``.rsymx`` sidecar, the index a
+reload carried forward, or one built in memory by the first query that
+reads it.  ``match``, ``agg``, ``drift``, ``private_agg`` and indexed kNN
+read their fleet histograms, peaks and banded counts off it, so an answer
+never depends on which requests came before it; ``anomaly`` and
+``knn(use_index=False)`` never build one.  The open itself reads no payload
+byte, so damage surfaces inside the first request that builds the index.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from ..errors import CorruptStoreError, QueryError, StoreIntegrityWarning
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
 from ..store.segments import SymbolStore, open_store, segment_run_counts
 from .aggregate import AggregateReport, aggregate_store
-from .index import DEFAULT_BANDS, QueryIndex, build_query_index, query_index_path
+from .index import DEFAULT_BANDS, QueryIndex, query_index_path
 from .ops import (
     AnomalyOperator,
     AnomalyReport,
@@ -62,6 +71,7 @@ from .ops import (
     DriftOperator,
     DriftReport,
     GroupAggregateOperator,
+    IndexBuildOperator,
     KNNOperator,
     MatchOperator,
     PrivateAggregateReport,
@@ -204,7 +214,7 @@ class QueryEngine:
         self._index = index
         self._source: Optional[ColumnSource] = None
         # Guards the lazy _source/_index fills: server threads share one
-        # engine, and two first-queries racing the in-memory index build
+        # engine, and two first queries racing the in-memory index build
         # would each pay it (and publish half-initialised state).
         self._lock = threading.RLock()
 
@@ -219,7 +229,7 @@ class QueryEngine:
         longer matches — a segment was appended or quarantined, or the file
         was rewritten, since it was built — is dropped with a warning
         (emitted once per sidecar path per process) instead of failing the
-        open, and queries rebuild the index in memory.
+        open, and the first query that reads the index builds it in memory.
         """
         store = open_store(path, mmap=mmap)
         return cls(store, index=_sidecar_index(store))
@@ -232,11 +242,10 @@ class QueryEngine:
         segments are shared, not reopened.  When the new generation only
         appends segments to this one (:attr:`SymbolStore.appended`), the new
         engine's summaries are this engine's plus the appended windows'
-        share, computed by the cold path's own kernels: the index, when it
+        share, computed by the index build's own kernel: the index, when it
         has the default bands folded by ``windows_per_day`` and the columns
-        already hold a day; the whole-fleet histograms and peaks; and the
-        run counts.  They are
-        exact integers, so every answer equals a cold :meth:`open`'s.  Any
+        already hold a day, and the run counts.  They are exact integers,
+        so every answer equals a cold :meth:`open`'s.  Any
         other change — a quarantine, a rollback, a scrub repair, fewer
         segments — takes the cold open's rules, and so does an append whose
         share fails its checksums (the first query then meets the damage,
@@ -270,14 +279,11 @@ class QueryEngine:
             return None
         with self._lock:
             index, source = self._index, self._source
-        stats, runs = None, self.store._run_counts
+        runs = self.store._run_counts
         if source is not None:
             with source._lock:  # in-flight requests may still be filling them
-                stats = source._column_stats
                 if source._run_counts is not None:
                     runs = source._run_counts
-        if stats is None and index is not None:
-            stats = (index.histograms, index.max_symbols)
         old, new = (int(s.counts[0]) if s.n_meters else 0 for s in (self.store, store))
         if index is not None and not (
             index.n_bands == DEFAULT_BANDS
@@ -290,9 +296,10 @@ class QueryEngine:
         carried = ColumnSource(store)
         share = None
         try:
-            if new > old and (index is not None or stats is not None):
-                bands = index.n_bands if index is not None else 1
-                share = carried._scan_stats(0, store.n_meters, bands, (old, new))
+            if new > old and index is not None:
+                share = carried._scan_stats(
+                    0, store.n_meters, index.n_bands, (old, new)
+                )
             if runs is not None:
                 last = next(
                     (seg for seg in reversed(self.store.segments) if seg.counts.any()),
@@ -301,11 +308,8 @@ class QueryEngine:
                 runs = runs + segment_run_counts(store.appended, store.n_meters, last)
         except CorruptStoreError:
             return None
-        if stats is not None and share is not None:
-            stats = (stats[0] + share[0].sum(axis=1), np.maximum(stats[1], share[3]))
         index = _sidecar_index(store) if index is None else index.extended(share, store)
-        carried.index = index
-        carried._column_stats, carried._run_counts = stats, runs
+        carried.index, carried._run_counts = index, runs
         engine = QueryEngine(store, index=index)
         engine._source = carried
         return engine
@@ -319,22 +323,23 @@ class QueryEngine:
     def source(self) -> ColumnSource:
         """The engine's cached :class:`ColumnSource` (one per open store).
 
-        Fleet-level statistics computed through it — histograms, peaks, run
-        counts — are cached on the source, so repeated aggregates on an open
-        engine never re-decode columns.
+        It carries the engine's index once one is held, and caches the
+        fleet run counts, so repeated aggregates on an open engine never
+        re-decode columns.
         """
         with self._lock:
             if self._source is None:
                 self._source = ColumnSource(self.store, index=self._index)
-            elif self._source.index is None and self._index is not None:
-                self._source.index = self._index
             return self._source
 
-    def index(self, build: bool = True) -> Optional[QueryIndex]:
-        """The query index: the sidecar's, or one built in memory."""
+    def index(self) -> QueryIndex:
+        """The engine's one query index: the sidecar's, the one a reload
+        carried, or one built in memory on first use (under the engine's
+        lock, through the engine's source, so its reads are counted)."""
         with self._lock:
-            if self._index is None and build:
-                self._index = build_query_index(self.store)
+            if self._index is None:
+                plan = ScanPlan(self.source, IndexBuildOperator(DEFAULT_BANDS))
+                self._index = self.source.index = plan.run()
             return self._index
 
     # -- kNN ---------------------------------------------------------------------
@@ -361,10 +366,7 @@ class QueryEngine:
         source.table  # resolve (and cache) the shared-table refusal early
         queries = self._check_queries(queries)
         exclude = self._exclude_positions(exclude_ids)
-        index = None
-        if config.use_index:
-            index = self.index(build=True)
-            index.check_store(self.store)
+        index = self.index() if config.use_index else None
         n_candidates = self.store.n_meters - exclude.size
         plan = ScanPlan(source, KNNOperator(
             queries=queries,
@@ -483,18 +485,14 @@ class QueryEngine:
     ) -> PatternMatches:
         """Match a symbol pattern against columns at run granularity.
 
-        The histogram pruning stage (whenever an index is attached) skips
-        columns that lack the pattern's symbols before touching payload
-        bytes; matching itself runs on RLE run arrays without expansion.
+        The index's histogram pruning stage skips columns that lack the
+        pattern's symbols before touching payload bytes; matching itself
+        runs on RLE run arrays without expansion.
         """
         if isinstance(pattern, str):
             pattern = SymbolPattern.parse(pattern, self.store.alphabet_size)
         needed = pattern.min_symbol_counts(self.store.alphabet_size)
         columns = self.store._resolve_meters(meters)
-        stages = []
-        if self._index is not None:
-            self._index.check_store(self.store)
-            stages.append(SymbolCountPrune(needed=needed, index=self._index))
         plan = ScanPlan(
             self.source,
             MatchOperator(
@@ -502,7 +500,7 @@ class QueryEngine:
                 label=pattern.text or repr(pattern),
             ),
             items=columns,
-            stages=stages,
+            stages=[SymbolCountPrune(needed=needed, index=self.index())],
         )
         return plan.run(workers=workers, deadline=deadline)
 
@@ -518,13 +516,13 @@ class QueryEngine:
     ) -> AggregateReport:
         """Aggregation pushdown (see :func:`repro.query.aggregate_store`).
 
-        Routed through the engine's cached :attr:`source`, so repeated
-        aggregates on an open engine skip re-decoding.
+        Histograms and peaks come off the engine's index, run counts off
+        its cached :attr:`source`, so repeated aggregates skip re-decoding.
         """
+        self.index()
         return aggregate_store(
             self.store, meters=meters, level=level, per_day=per_day,
-            index=self._index, workers=workers, source=self.source,
-            deadline=deadline,
+            workers=workers, source=self.source, deadline=deadline,
         )
 
     # -- monitoring ---------------------------------------------------------------
@@ -567,11 +565,11 @@ class QueryEngine:
                     base_path = query_index_path(base_path)
                 baseline = QueryIndex.open(base_path)
             baseline_hist = baseline.histograms
-        index = self.index(build=True)
+        self.index()
         columns = self.store._resolve_meters(meters)
         plan = ScanPlan(
             self.source,
-            DriftOperator(index=index, baseline_histograms=baseline_hist),
+            DriftOperator(baseline_histograms=baseline_hist),
             items=columns,
         )
         return plan.run(workers=1, deadline=deadline)
@@ -599,14 +597,12 @@ class QueryEngine:
         if int(k_anon) < 1:
             raise QueryError(f"k_anon must be >= 1, got {k_anon}")
         columns = self.store._resolve_meters(meters)
-        index = self._index
-        n_bands = index.n_bands if index is not None else None
+        self.index()
         plan = ScanPlan(
             self.source,
             GroupAggregateOperator(
                 level=level, k_anon=int(k_anon), epsilon=epsilon,
-                seed=int(seed), index=index,
-                **({"n_bands": n_bands} if n_bands else {}),
+                seed=int(seed),
             ),
             items=columns,
         )

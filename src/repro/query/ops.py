@@ -7,9 +7,10 @@ aggregates) — is expressed as one *operator* over one *source*:
 :class:`ColumnSource`
     One read abstraction over ``.rsym`` files and ``.rsyms`` segment
     directories (dense and RLE, per-segment table epochs): block-granular
-    ``matrix_blocks``/``run_blocks`` reads, index-backed column statistics
-    with a fleet-level cache, and a :class:`SourceStats` decode counter that
-    makes "this operator never touched payload bytes" a testable claim.
+    ``matrix_blocks``/``run_blocks`` reads, column statistics read off the
+    attached :class:`~repro.query.index.QueryIndex`, and a
+    :class:`SourceStats` decode counter that makes "this operator never
+    touched payload bytes" a testable claim.
 
 :class:`Operator` subclasses
     Declare the axis they shard over (``items``), do their work on one shard
@@ -32,7 +33,7 @@ only one in ``repro.query``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +45,7 @@ from ..pipeline.stages import RLERuns
 from ..store.format import RLE, _Segment
 from ..store.packing import symbol_dtype
 from .distance import banded_min_cells, histogram_bound
-from .index import DEFAULT_BANDS, QueryIndex, _shard_stats
+from .index import QueryIndex, _shard_stats
 from .patterns import PatternMatches, SymbolPattern, match_runs
 from .verbs import PrivateAggParams
 
@@ -130,12 +131,12 @@ class SourceStats:
 class ColumnSource:
     """One store (file or segment directory) as a readable column set.
 
-    All operator reads go through here so they are *counted* (``stats``) and
-    so fleet-level statistics — per-column histograms, peaks, run counts —
-    are computed at most once per source (the :class:`QueryEngine` keeps one
-    source per open store, which is what makes repeated aggregates skip
-    re-decoding).  When a matching :class:`QueryIndex` is attached, those
-    statistics come off the index without touching payload bytes at all.
+    All operator reads go through here so they are *counted* (``stats``).
+    Per-column histograms and peaks come off the attached
+    :class:`QueryIndex` (``index``) without touching payload bytes; the
+    :class:`QueryEngine` attaches its one index before it plans, and keeps
+    one source per open store, so fleet run counts are computed at most
+    once per snapshot.
     """
 
     def __init__(self, store, index: Optional[QueryIndex] = None) -> None:
@@ -149,7 +150,6 @@ class ColumnSource:
         #: counted readers, which take the same lock.
         self._lock = threading.RLock()
         self._table: Optional[LookupTable] = None
-        self._column_stats: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._run_counts: Optional[np.ndarray] = None
         # Registry instruments, resolved once per source so counted reads
         # pay one cached-attribute increment (no-op when metrics are off).
@@ -170,15 +170,14 @@ class ColumnSource:
     def for_shard(self) -> "ColumnSource":
         """A source over the same open store for one plan shard thread.
 
-        It counts its own reads (its own :class:`SourceStats`) but starts
-        from this source's cached table and fleet statistics, taken under
-        this source's lock, so a shard never recomputes what the caller
-        already holds.
+        It counts its own reads (its own :class:`SourceStats`) but shares
+        this source's index and starts from its cached table and run
+        counts, taken under this source's lock, so a shard never recomputes
+        what the caller already holds.
         """
         shard = ColumnSource(self.store, index=self.index)
         with self._lock:
             shard._table = self._table
-            shard._column_stats = self._column_stats
             shard._run_counts = self._run_counts
         return shard
 
@@ -282,54 +281,25 @@ class ColumnSource:
 
     def _scan_stats(self, start: int, stop: int, n_bands: int,
                     window_range: Optional[tuple] = None) -> tuple:
-        """Banded histogram scan of ``[start, stop)`` — a payload read."""
+        """Banded histogram scan of ``[start, stop)`` — a payload read, made
+        only by an index build and by a reload's appended share."""
         self._count_decode(max(0, int(stop) - int(start)))
         return _shard_stats(self.store, int(start), int(stop), n_bands, window_range)
 
     # -- cached column statistics ------------------------------------------------
 
     def column_stats(
-        self,
-        columns: Optional[Sequence[int]] = None,
-        index: Optional[QueryIndex] = None,
+        self, columns: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(histograms, peaks)`` for ``columns`` (default: whole fleet).
-
-        Served from the attached (or passed) index when one matches —
-        zero payload reads — otherwise from one scan.  The whole-fleet scan
-        is cached on the source; column subsets scan only the subset (one
-        block read when contiguous), matching what a plan shard needs.
-        """
-        index = self.index if index is None else index
-        if index is not None:
-            self._m_cache_hits.inc()
-            if columns is None:
-                return index.histograms, index.max_symbols
-            cols = np.asarray(list(columns), dtype=np.int64)
-            return index.histograms[cols], index.max_symbols[cols]
-        with self._lock:
-            if columns is None:
-                if self._column_stats is None:
-                    banded, _, _, peaks = self._scan_stats(0, self.n_columns, 1)
-                    self._column_stats = (banded[:, 0, :], peaks)
-                else:
-                    self._m_cache_hits.inc()
-                return self._column_stats
-            cols = [int(c) for c in columns]
-            if self._column_stats is not None:
-                self._m_cache_hits.inc()
-                idx = np.asarray(cols, dtype=np.int64)
-                return self._column_stats[0][idx], self._column_stats[1][idx]
-            if cols and cols == list(range(cols[0], cols[-1] + 1)):
-                banded, _, _, peaks = self._scan_stats(cols[0], cols[-1] + 1, 1)
-                return banded[:, 0, :], peaks
-            parts = [self._scan_stats(c, c + 1, 1) for c in cols]
-        k = self.alphabet_size
-        if not parts:
-            return (np.zeros((0, k), dtype=np.int64), np.zeros(0, dtype=np.int64))
-        hist = np.vstack([p[0][:, 0, :] for p in parts])
-        peaks = np.concatenate([p[3] for p in parts])
-        return hist, peaks
+        """``(histograms, peaks)`` for ``columns`` (default: whole fleet),
+        read off the attached index: zero payload reads."""
+        if self.index is None:
+            raise QueryError("column statistics need a query index attached")
+        self._m_cache_hits.inc()
+        if columns is None:
+            return self.index.histograms, self.index.max_symbols
+        cols = np.asarray(list(columns), dtype=np.int64)
+        return self.index.histograms[cols], self.index.max_symbols[cols]
 
     def run_counts(self, columns: Optional[Sequence[int]] = None) -> np.ndarray:
         """Run counts for ``columns`` (default: whole fleet, cached).
@@ -383,14 +353,6 @@ class Operator:
     def items(self, source: ColumnSource) -> Sequence:
         """The full work list this operator shards over (default: columns)."""
         return list(range(source.n_columns))
-
-    def shard(self, items: Sequence) -> Tuple["Operator", Sequence]:
-        """The ``(operator, items)`` one shard runs.
-
-        Overridden when the operator can slim itself per shard (a kNN shard
-        carries only its own query rows instead of the whole batch).
-        """
-        return self, items
 
     def run_shard(self, source: ColumnSource, items: Sequence):
         raise NotImplementedError
@@ -633,13 +595,6 @@ class KNNOperator(Operator):
     def items(self, source: ColumnSource) -> Sequence:
         return list(range(self.queries.shape[0]))
 
-    def shard(self, items: Sequence) -> Tuple["KNNOperator", Sequence]:
-        idx = np.asarray(list(items), dtype=np.int64)
-        return (
-            replace(self, queries=self.queries[idx]),
-            list(range(idx.size)),
-        )
-
     def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
         idx = np.asarray(list(items), dtype=np.int64)
         block = (
@@ -718,12 +673,11 @@ class AggregateOperator(Operator):
     """
 
     level: int
-    index: Optional[QueryIndex] = None
 
     def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
         cols = [int(c) for c in items]
         subset = None if cols == list(range(source.n_columns)) else cols
-        hist, peaks = source.column_stats(subset, index=self.index)
+        hist, peaks = source.column_stats(subset)
         run_count = source.run_counts(subset)
         return hist, peaks, run_count
 
@@ -968,7 +922,6 @@ class DriftOperator(Operator):
     the current fleet-mean distribution instead.
     """
 
-    index: Optional[QueryIndex] = None
     baseline_histograms: Optional[np.ndarray] = None
 
     def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
@@ -981,7 +934,7 @@ class DriftOperator(Operator):
         subset = None if cols == list(range(source.n_columns)) else cols
         with source._lock:
             before = source.stats.columns_decoded
-            hist, _ = source.column_stats(subset, index=self.index)
+            hist, _ = source.column_stats(subset)
             decoded = source.stats.columns_decoded - before
         return np.asarray(hist, dtype=np.int64), decoded
 
@@ -1071,37 +1024,20 @@ class PrivateAggregateReport:
 class GroupAggregateOperator(Operator):
     """Pooled k-anonymous group aggregate over the column axis.
 
-    Shards return exact pooled banded counts; ``merge`` sums them (order
-    independent), enforces the group-size floor, and applies suppression
-    and noise once — so the released aggregate is deterministic for every
-    worker count and seed.
+    Shards sum the index's band histograms (exact pooled banded counts, in
+    the index's bands); ``merge`` sums them (order independent), enforces
+    the group-size floor, and applies suppression and noise once — so the
+    released aggregate is deterministic for every worker count and seed.
     """
 
     level: int
     k_anon: int
     epsilon: Optional[float] = None
     seed: int = PrivateAggParams.seed
-    n_bands: int = DEFAULT_BANDS
-    index: Optional[QueryIndex] = None
 
     def run_shard(self, source: ColumnSource, items: Sequence) -> np.ndarray:
-        k = source.alphabet_size
-        cols = [int(c) for c in items]
-        index = self.index if self.index is not None else source.index
-        if not cols:
-            return np.zeros((self.n_bands, k), dtype=np.int64)
-        if index is not None and index.n_bands == self.n_bands:
-            idx = np.asarray(cols, dtype=np.int64)
-            return index.band_histograms[idx].sum(axis=0)
-        if cols == list(range(cols[0], cols[-1] + 1)):
-            banded, _, _, _ = source._scan_stats(
-                cols[0], cols[-1] + 1, self.n_bands
-            )
-            return banded.sum(axis=0)
-        parts = [
-            source._scan_stats(c, c + 1, self.n_bands)[0][0] for c in cols
-        ]
-        return np.sum(parts, axis=0, dtype=np.int64)
+        cols = np.asarray([int(c) for c in items], dtype=np.int64)
+        return source.index.band_histograms[cols].sum(axis=0)
 
     def merge(self, parts, source, items, kept) -> PrivateAggregateReport:
         from ..analytics.privacy import k_anonymize_counts, noisy_counts
@@ -1113,7 +1049,7 @@ class GroupAggregateOperator(Operator):
                 f"{self.k_anon}; refusing to release an identifying aggregate"
             )
         banded = np.sum(parts, axis=0, dtype=np.int64) if parts else np.zeros(
-            (self.n_bands, k), dtype=np.int64
+            (source.index.n_bands, k), dtype=np.int64
         )
         pooled = banded.sum(axis=0)
         released, suppressed = k_anonymize_counts(pooled, self.k_anon)

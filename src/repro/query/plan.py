@@ -241,10 +241,9 @@ class ScanPlan:
         parts: List = []
         for start in range(0, len(kept), _DEADLINE_CHUNK):
             deadline.check(start, len(kept))
-            operator, shard_items = self.operator.shard(
-                kept[start: start + _DEADLINE_CHUNK]
-            )
-            parts.append(operator.run_shard(self.source, shard_items))
+            parts.append(self.operator.run_shard(
+                self.source, kept[start: start + _DEADLINE_CHUNK]
+            ))
         return parts
 
     def _run_sharded(self, kept: List, workers: int) -> List:
@@ -252,9 +251,9 @@ class ScanPlan:
 
         Each shard reads the caller's open store through its own
         :class:`ColumnSource` (per-shard read accounting over the caller's
-        cached fleet statistics, :meth:`ColumnSource.for_shard`) and runs in
-        a copy of the caller's context, so the request's deadline and trace
-        id reach it.  Its ``plan.shard`` span finishes as a collected root and
+        index and cached run counts, :meth:`ColumnSource.for_shard`) and
+        runs in a copy of the caller's context, so the request's deadline
+        and trace id reach it.  Its ``plan.shard`` span finishes as a collected root and
         hangs under the plan span in task order, whatever order the threads
         finish in.  A shard's exception re-raises here, first in task order.
         """
@@ -263,17 +262,15 @@ class ScanPlan:
         bounds = np.array_split(
             np.arange(len(kept)), min(resolve_workers(workers), len(kept))
         )
-        shards = [
-            self.operator.shard([kept[int(i)] for i in idx]) for idx in bounds
-        ]
+        shards = [[kept[int(i)] for i in idx] for idx in bounds]
         parent = tracer().current_span()
         with ThreadPoolExecutor(len(shards)) as pool:
             futures = [
                 pool.submit(
                     contextvars.copy_context().run, self._run_shard,
-                    shard, operator, shard_items, parent,
+                    shard, shard_items, parent,
                 )
-                for shard, (operator, shard_items) in enumerate(shards)
+                for shard, shard_items in enumerate(shards)
             ]
             done = [future.result() for future in futures]
         if parent is not None:
@@ -281,8 +278,7 @@ class ScanPlan:
                 parent.children.extend(roots)
         return [result for result, _ in done]
 
-    def _run_shard(self, shard: int, operator: Operator, items: Sequence,
-                   parent) -> tuple:
+    def _run_shard(self, shard: int, items: Sequence, parent) -> tuple:
         """``(shard result, collected root spans)`` of one shard thread."""
         source = self.source.for_shard()
         trace = tracer()
@@ -293,7 +289,7 @@ class ScanPlan:
                 _parent_id=parent.span_id if parent is not None else None,
                 shard=shard, items=len(items),
             ) as shard_span:
-                result = operator.run_shard(source, items)
+                result = self.operator.run_shard(source, items)
                 shard_span.set_attributes(
                     columns_decoded=int(source.stats.columns_decoded),
                     runs_read=int(source.stats.runs_read),

@@ -49,6 +49,7 @@ the connection.
 from __future__ import annotations
 
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -85,8 +86,20 @@ from .limiter import TokenBucket
 __all__ = ["QueryServer", "ServerConfig", "StoreManager", "serve"]
 
 
+def _deadline_ms(ms) -> float:
+    """``ms`` as a deadline: a finite JSON number > 0, or a 400."""
+    ms = NUMBER.check("deadline_ms", ms)
+    if not (math.isfinite(ms) and ms > 0):
+        raise BadRequest(f"'deadline_ms' must be finite and > 0, got {ms}")
+    return ms
+
+
 class ServerConfig:
-    """Tunables of one server instance (all have serve-sane defaults)."""
+    """Tunables of one server instance (all have serve-sane defaults).
+
+    ``default_deadline_ms`` is checked here, as a request's ``deadline_ms``
+    is, so a bad one fails the server's start, not every request.
+    """
 
     def __init__(
         self,
@@ -107,7 +120,10 @@ class ServerConfig:
         self.max_concurrent = int(max_concurrent)
         self.max_queue = int(max_queue)
         self.queue_timeout = float(queue_timeout)
-        self.default_deadline_ms = default_deadline_ms
+        self.default_deadline_ms = (
+            None if default_deadline_ms is None
+            else _deadline_ms(default_deadline_ms)
+        )
         self.failure_threshold = int(failure_threshold)
         self.breaker_reset_s = float(breaker_reset_s)
         self.workers = int(workers)
@@ -343,6 +359,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: Seconds one socket read or write may wait, so a body shorter than its
     #: ``Content-Length`` closes the connection instead of holding a thread.
     timeout = 30.0
+    #: Seconds a refused body is read and dropped after the 400 went out, so
+    #: a client still sending it reads the 400 instead of a reset.
+    linger = 1.0
+    _refused_body = False
     #: Set by QueryServer subclassing machinery.
     manager: StoreManager
     gate: AdmissionGate
@@ -402,18 +422,44 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, protocol.error_body(error), retry_after)
 
     def _read_body(self) -> bytes:
-        """The body; a ``Content-Length`` outside ``0..MAX_BODY_BYTES`` is a
-        400 before any body byte is read, and its unread bytes close the
-        connection."""
+        """The body; a ``Transfer-Encoding`` (chunked bodies are not decoded)
+        or a ``Content-Length`` outside ``0..MAX_BODY_BYTES`` is a 400 before
+        any body byte is read, and its unread bytes close the connection."""
+        encoding = self.headers.get("Transfer-Encoding")
         header = self.headers.get("Content-Length") or "0"
         length = int(header) if header.isascii() and header.isdigit() else -1
-        if not 0 <= length <= protocol.MAX_BODY_BYTES:
-            self.close_connection = True
+        if encoding is None and 0 <= length <= protocol.MAX_BODY_BYTES:
+            return self.rfile.read(length) if length else b""
+        self.close_connection = self._refused_body = True
+        if encoding is not None:
             raise BadRequest(
-                f"Content-Length must be an integer from 0 to "
-                f"{protocol.MAX_BODY_BYTES}, got {header!r}"
+                f"Transfer-Encoding is not supported, got {encoding!r}; "
+                f"send the body with a Content-Length"
             )
-        return self.rfile.read(length) if length else b""
+        raise BadRequest(
+            f"Content-Length must be an integer from 0 to "
+            f"{protocol.MAX_BODY_BYTES}, got {header!r}"
+        )
+
+    def finish(self) -> None:
+        """After a refused body, half-close and drop what still arrives
+        (at most ``MAX_BODY_BYTES``, for ``linger`` seconds) before the
+        socket closes: closing with unread bytes would reset the
+        connection under a client that is still sending."""
+        super().finish()
+        if not self._refused_body:
+            return
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            left, until = protocol.MAX_BODY_BYTES, time.monotonic() + self.linger
+            while left > 0 and time.monotonic() < until:
+                self.connection.settimeout(max(0.0, until - time.monotonic()))
+                data = self.connection.recv(65536)
+                if not data:
+                    break
+                left -= len(data)
+        except OSError:
+            pass
 
     def _deadline(self, body: Dict) -> Optional[Deadline]:
         """``deadline_ms`` from the body, else the ``X-Deadline-Ms`` header,
@@ -429,10 +475,7 @@ class _Handler(BaseHTTPRequestHandler):
             ms = self.server_config.default_deadline_ms
         if ms is None:
             return None
-        ms = NUMBER.check("deadline_ms", ms)
-        if not (math.isfinite(ms) and ms > 0):
-            raise BadRequest(f"'deadline_ms' must be finite and > 0, got {ms}")
-        return Deadline.from_ms(ms)
+        return Deadline.from_ms(_deadline_ms(ms))
 
     # -- routing -----------------------------------------------------------------
 

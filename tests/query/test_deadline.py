@@ -28,6 +28,7 @@ from repro.query import (
     QueryEngine,
     ScanPlan,
     active_deadline,
+    build_query_index,
     check_deadline,
 )
 from repro.query.ops import Operator
@@ -310,9 +311,12 @@ class TestThreadSafety:
         assert not failures, f"thread-safety violation: {failures[:1]}"
 
     def test_cold_source_raced_by_threads(self, store, fleet_values):
-        """First touch of every cache raced by 8 threads at once."""
-        engine = QueryEngine(store)   # all caches cold
-        expected = _stats_bytes(QueryEngine(store).source)
+        """The first index build raced by 8 threads at once: one build,
+        and every thread sees its one index."""
+        engine = QueryEngine(store)   # no index held yet
+        expected = _stats_bytes(
+            QueryEngine(store, index=build_query_index(store)).source
+        )
         results: list = []
         failures: list = []
         barrier = threading.Barrier(8)
@@ -320,7 +324,8 @@ class TestThreadSafety:
         def worker() -> None:
             try:
                 barrier.wait(timeout=10.0)
-                results.append(_stats_bytes(engine.source))
+                index = engine.index()
+                results.append((index, _stats_bytes(engine.source)))
             except BaseException as exc:  # noqa: BLE001
                 failures.append(exc)
 
@@ -331,7 +336,9 @@ class TestThreadSafety:
             t.join(timeout=30.0)
         assert not failures, f"cold-cache race: {failures[:1]}"
         assert len(results) == 8
-        assert all(r == expected for r in results)
+        assert all(index is results[0][0] for index, _ in results)
+        assert all(stats == expected for _, stats in results)
+        assert engine.source.stats.columns_decoded == store.n_meters  # once
 
     def test_shard_threads_lose_no_counts(self, store):
         """More shard threads than cores, switching often: the answer is

@@ -21,10 +21,8 @@ from repro.errors import QueryError
 from repro.query import (
     banded_min_cells,
     cell_bounds,
-    gathered_squared_distances,
     histogram_bound,
     mindist,
-    rle_squared_distances,
     value_cell_bounds,
 )
 
@@ -238,71 +236,9 @@ class TestHistogramBound:
         for c in range(C):
             np.add.at(hist[c], (bands, matrix[c]), 1)
         lb = histogram_bound(banded_min_cells(cells, bands, n_bands), hist)
-        exact = gathered_squared_distances(cells, matrix)
+        exact = cells[np.arange(T), matrix].sum(axis=1)
         assert np.all(lb <= exact + 1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(QueryError, match="disagree"):
             histogram_bound(np.zeros((2, 3, 4)), np.zeros((5, 3, 5)))
-
-
-class TestRunAwareDistances:
-    def test_rle_matches_gathered_on_expanded_runs(self, rng):
-        T, k, C = 96, 16, 30
-        cells = rng.random((T, k))
-        values, lengths, offsets, rows = [], [], [0], []
-        for _ in range(C):
-            cuts = np.sort(rng.choice(
-                np.arange(1, T), size=int(rng.integers(0, 12)), replace=False
-            ))
-            seg = np.diff(np.concatenate([[0], cuts, [T]]))
-            v = rng.integers(0, k, size=seg.size)
-            values.append(v)
-            lengths.append(seg)
-            offsets.append(offsets[-1] + seg.size)
-            rows.append(np.repeat(v, seg))
-        values = np.concatenate(values)
-        lengths = np.concatenate(lengths)
-        offsets = np.asarray(offsets)
-        d_runs = rle_squared_distances(cells, values, lengths, offsets)
-        d_gather = gathered_squared_distances(cells, np.vstack(rows))
-        np.testing.assert_allclose(d_runs, d_gather, rtol=1e-12, atol=1e-12)
-
-    def test_single_candidate_without_offsets(self, rng):
-        cells = rng.random((20, 4))
-        values = np.array([1, 3, 0])
-        lengths = np.array([5, 10, 5])
-        expect = gathered_squared_distances(
-            cells, np.repeat(values, lengths)[None, :]
-        )[0]
-        got = rle_squared_distances(cells, values, lengths)
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
-
-    def test_work_is_run_proportional(self, rng):
-        # A constant column scores exactly via one run.
-        cells = rng.random((500, 8))
-        got = rle_squared_distances(cells, np.array([5]), np.array([500]))
-        np.testing.assert_allclose(got[0], cells[:, 5].sum(), rtol=1e-12)
-
-    def test_bad_run_sums_rejected(self, rng):
-        cells = rng.random((10, 4))
-        with pytest.raises(QueryError, match="query length"):
-            rle_squared_distances(cells, np.array([1]), np.array([9]))
-        with pytest.raises(QueryError, match="query length"):
-            rle_squared_distances(
-                cells, np.array([1, 2, 3]), np.array([10, 3, 6]),
-                np.array([0, 1, 3]),
-            )
-        with pytest.raises(QueryError, match="offsets"):
-            rle_squared_distances(
-                cells, np.array([1, 2]), np.array([5, 5]), np.array([0, 1]),
-            )
-        with pytest.raises(QueryError, match="out of range"):
-            rle_squared_distances(cells, np.array([4]), np.array([10]))
-
-    def test_gathered_accepts_narrow_dtypes(self, rng):
-        cells = rng.random((30, 16))
-        matrix = rng.integers(0, 16, size=(7, 30))
-        wide = gathered_squared_distances(cells, matrix.astype(np.int64))
-        narrow = gathered_squared_distances(cells, matrix.astype(np.uint8))
-        np.testing.assert_array_equal(wide, narrow)

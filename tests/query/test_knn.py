@@ -17,6 +17,7 @@ from repro.errors import QueryError
 from repro.query import (
     QueryConfig,
     QueryEngine,
+    QueryIndex,
     build_query_index,
     query_index_path,
     resolve_shared_table,
@@ -248,7 +249,11 @@ class TestSidecarIntegration:
 
     def test_open_picks_up_sidecar(self, fixture_store):
         engine = QueryEngine.open(fixture_store.path)
-        assert engine.index(build=False) is not None
+        sidecar = QueryIndex.open(query_index_path(fixture_store.path))
+        np.testing.assert_array_equal(
+            engine.index().band_histograms, sidecar.band_histograms
+        )
+        assert engine.source.stats.columns_decoded == 0  # read, not built
 
     def test_missing_sidecar_builds_in_memory(self, small_redd, tmp_path):
         matrix = _fleet_matrix(small_redd)
@@ -257,10 +262,14 @@ class TestSidecarIntegration:
             window=15, shared_table=True,
         )
         engine = QueryEngine.open(store.path)
-        assert engine.index(build=False) is None
+        assert engine._index is None  # the open reads no payload byte
         queries = _queries_from(store, seed=2, n=2)
         result = engine.knn(queries, QueryConfig(k=2))
         assert result.stats.index_used
+        np.testing.assert_array_equal(
+            engine._index.band_histograms,
+            build_query_index(store).band_histograms,
+        )
         brute = engine.brute_force_knn(queries, k=2)
         np.testing.assert_array_equal(result.positions, brute.positions)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.errors import QueryError
 from repro.query import (
     ColumnSource,
     QueryConfig,
@@ -83,16 +84,25 @@ class TestColumnSource:
         assert source.stats.runs_read == 1
 
     def test_fleet_column_stats_computed_once(self, file_store):
-        source = ColumnSource(file_store)
-        hist, peaks = source.column_stats()
+        engine = QueryEngine(file_store)
+        source = engine.source
+        with pytest.raises(QueryError, match="index"):
+            source.column_stats()  # nothing scans behind the index's back
+        index = engine.index()
         decoded = source.stats.columns_decoded
-        assert decoded == file_store.n_meters
-        again_h, again_p = source.column_stats()
+        assert decoded == file_store.n_meters  # the build's one scan
+        hist, peaks = source.column_stats()
         sub_h, sub_p = source.column_stats([1, 4])
-        assert source.stats.columns_decoded == decoded  # served from cache
-        np.testing.assert_array_equal(hist, again_h)
+        assert source.stats.columns_decoded == decoded  # off the index
+        matrix = file_store.matrix()
+        k = file_store.alphabet_size
+        np.testing.assert_array_equal(
+            hist, [np.bincount(row, minlength=k) for row in matrix]
+        )
+        np.testing.assert_array_equal(peaks, matrix.max(axis=1))
         np.testing.assert_array_equal(sub_h, hist[[1, 4]])
         np.testing.assert_array_equal(sub_p, peaks[[1, 4]])
+        assert index is engine.index()
 
     def test_index_backed_stats_read_nothing(self, file_store):
         index = build_query_index(file_store)

@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.lookup import LookupTable
 from repro.obs import registry, span, tracer
 from repro.obs.trace import recent_traces
-from repro.query import ColumnSource, QueryEngine
-from repro.query.index import build_query_index, write_query_index
+from repro.query import QueryEngine
+from repro.query.index import DEFAULT_BANDS, build_query_index, write_query_index
 from repro.store import SymbolStore, append_segment, faults, scrub_store, write_segmented_fleet
 
 N_METERS, ALPHABET, PER_DAY = 7, 8, 24
@@ -72,28 +72,26 @@ def _warm(engine: QueryEngine, rng) -> None:
 
 
 def _assert_equals_cold(engine: QueryEngine, directory: Path) -> None:
+    """The reload's one index (carried, or built by its first query) and
+    run counts equal a cold open's, and the index has the default bands."""
     cold = QueryEngine.open(directory)
     try:
         reference = build_query_index(cold.store)
-        scan = ColumnSource(cold.store).column_stats()
         runs = cold.store.run_count_per_column()
     finally:
         cold.close()
-    index = engine._index
-    if index is not None:
-        assert index.fingerprint == reference.fingerprint
-        assert index.windows_per_day == reference.windows_per_day
-        assert np.array_equal(index.band_histograms, reference.band_histograms)
-        assert np.array_equal(index.first_symbols, reference.first_symbols)
-        assert np.array_equal(index.min_symbols, reference.min_symbols)
-        assert np.array_equal(index.max_symbols, reference.max_symbols)
-    source = engine.source
-    if source._column_stats is not None:
-        assert np.array_equal(source._column_stats[0], scan[0])
-        assert np.array_equal(source._column_stats[1], scan[1])
-    hist, peaks = source.column_stats()
-    assert np.array_equal(hist, scan[0]) and np.array_equal(peaks, scan[1])
-    assert np.array_equal(source.run_counts(), runs)
+    index = engine.index()
+    assert index.n_bands == reference.n_bands == DEFAULT_BANDS
+    assert index.fingerprint == reference.fingerprint
+    assert index.windows_per_day == reference.windows_per_day
+    assert np.array_equal(index.band_histograms, reference.band_histograms)
+    assert np.array_equal(index.first_symbols, reference.first_symbols)
+    assert np.array_equal(index.min_symbols, reference.min_symbols)
+    assert np.array_equal(index.max_symbols, reference.max_symbols)
+    hist, peaks = engine.source.column_stats()
+    assert np.array_equal(hist, reference.histograms)
+    assert np.array_equal(peaks, reference.max_symbols)
+    assert np.array_equal(engine.source.run_counts(), runs)
 
 
 def _run(steps, per_day: bool, days: float, seed: int) -> int:

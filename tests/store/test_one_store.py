@@ -145,7 +145,7 @@ def test_stale_sidecar_on_bare_file_degrades_once(tmp_path):
     with pytest.warns(StoreIntegrityWarning, match="ignoring stale query index"):
         engine = QueryEngine.open(path)
     with engine:
-        assert engine.index(build=False) is None
+        assert engine._index is None
         queries = fleet[[1, 4], :]
         result = engine.knn(queries, QueryConfig(k=3))
         brute = engine.brute_force_knn(queries, k=3)
