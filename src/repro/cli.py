@@ -352,12 +352,16 @@ def _print_run_stats(store) -> None:
     The mean run length is the factor by which run-level pattern matching
     (``repro query match``) scans fewer elements than the expanded windows —
     printed so users can predict the pushdown benefit before querying.
+    Run counts come off the store's query index: its fresh ``.rsymx``
+    sidecar, or one built in memory.
     """
     import numpy as np
 
-    run_counts = store.run_count_per_column()
-    if run_counts.size == 0 or store.n_symbols == 0:
+    from .query import QueryEngine
+
+    if store.n_meters == 0 or store.n_symbols == 0:
         return
+    run_counts = QueryEngine.over(store).index().run_counts
     total_runs = int(run_counts.sum())
     mean_run = store.n_symbols / max(1, total_runs)
     source = "stored" if store.layout == "rle" else "computed"

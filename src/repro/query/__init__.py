@@ -12,9 +12,10 @@ store without decoding it wholesale.
     (:meth:`LookupTable.breakpoints` or the SAX Gaussian breakpoints).
 
 :mod:`repro.query.index`
-    The ``.rsymx`` sidecar (:class:`QueryIndex`): per-column symbol
-    histograms + first/min/max symbols, the pruning tier that rejects
-    candidates before any payload bytes are read.
+    The ``.rsymx`` sidecar (:class:`QueryIndex`): per-column banded symbol
+    histograms, peak and last symbols and run counts — the pruning tier
+    that rejects candidates before any payload bytes are read, and the one
+    source of the fleet statistics aggregates report.
 
 :mod:`repro.query.engine`
     :class:`QueryEngine` / :class:`QueryConfig`: exact kNN with lower-bound

@@ -7,10 +7,10 @@ arrays the store keeps on disk.  Per-day variants reshape by the store's
 ``windows_per_day`` metadata, answering "which meters ran >= 6 hours at the
 top level on day 3?" without rebuilding a :class:`FleetEncoder`.
 
-Symbol counts and peaks come off the :class:`~repro.query.index.QueryIndex`
-attached to the plan's source, the one place fleet histograms are
-computed; run counts come off RLE headers or one run-length scan.
-Execution is a :class:`~repro.query.plan.ScanPlan` over an
+Symbol counts, peaks and run counts come off the
+:class:`~repro.query.index.QueryIndex` attached to the plan's source, the
+one place they are computed.  Execution is a
+:class:`~repro.query.plan.ScanPlan` over an
 :class:`~repro.query.ops.AggregateOperator`: ``workers > 1`` shards the
 column axis through the unified plan driver, and because shards return
 exact integers merged in task order the report is bit-identical for every
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..store.segments import SymbolStore
-from .index import QueryIndex, build_query_index
+from .index import DEFAULT_BANDS, QueryIndex
 from .verbs import AggParams
 
 __all__ = ["AggregateReport", "aggregate_store"]
@@ -81,15 +81,15 @@ def aggregate_store(
 ) -> AggregateReport:
     """Compute the pushdown aggregates for ``meters`` (default: all).
 
-    Histograms and peaks come off the index of ``source`` (a
+    Histograms, peaks and run counts come off the index of ``source`` (a
     :class:`~repro.query.ops.ColumnSource`; default: a new one over
     ``store``).  A source without one gets ``index`` attached, after its
-    fingerprint check, or else an index built from ``store``.  The
-    :class:`QueryEngine` passes its own source, which holds its index and
-    cached run counts.  ``per_day`` requires the store's
+    fingerprint check, or else an index built through ``source``, so the
+    build's reads count on it.  The :class:`QueryEngine` passes its own
+    source, which holds its index.  ``per_day`` requires the store's
     ``windows_per_day`` metadata and equal column lengths.
     """
-    from .ops import AggregateOperator, ColumnSource
+    from .ops import AggregateOperator, ColumnSource, IndexBuildOperator
     from .plan import ScanPlan
 
     k = store.alphabet_size
@@ -101,9 +101,11 @@ def aggregate_store(
     if source is None:
         source = ColumnSource(store)
     if source.index is None:
-        if index is not None:
+        if index is None:
+            index = ScanPlan(source, IndexBuildOperator(DEFAULT_BANDS)).run()
+        else:
             index.check_store(store)
-        source.index = build_query_index(store) if index is None else index
+        source.index = index
     plan = ScanPlan(source, AggregateOperator(level=level), items=columns)
     report = plan.run(workers=workers, deadline=deadline)
     report.ids = ids

@@ -43,8 +43,8 @@ An engine answers from exactly one :class:`~repro.query.index.QueryIndex`
 (:meth:`QueryEngine.index`): the fresh ``.rsymx`` sidecar, the index a
 reload carried forward, or one built in memory by the first query that
 reads it.  ``match``, ``agg``, ``drift``, ``private_agg`` and indexed kNN
-read their fleet histograms, peaks and banded counts off it, so an answer
-never depends on which requests came before it; ``anomaly`` and
+read their fleet histograms, peaks, run counts and banded counts off it, so
+an answer never depends on which requests came before it; ``anomaly`` and
 ``knn(use_index=False)`` never build one.  The open itself reads no payload
 byte, so damage surfaces inside the first request that builds the index.
 """
@@ -61,7 +61,7 @@ import numpy as np
 
 from ..errors import CorruptStoreError, QueryError, StoreIntegrityWarning
 from ..obs import registry as _obs_registry, tracer as _obs_tracer
-from ..store.segments import SymbolStore, open_store, segment_run_counts
+from ..store.segments import SymbolStore, open_store
 from .aggregate import AggregateReport, aggregate_store
 from .index import DEFAULT_BANDS, QueryIndex, query_index_path
 from .ops import (
@@ -103,13 +103,14 @@ _STALE_INDEX_LOCK = threading.Lock()
 
 
 def _sidecar_index(store: SymbolStore) -> Optional[QueryIndex]:
-    """The store's ``.rsymx`` sidecar, or ``None`` when it is absent or
-    stale; a stale one is dropped with a warning, once per sidecar path."""
+    """The store's ``.rsymx`` sidecar, or ``None`` when it is absent, stale
+    or unreadable (truncated, another format version); a sidecar that is
+    there but cannot be used is dropped with a warning, once per path."""
     sidecar = query_index_path(store.path)
-    index = QueryIndex.open(sidecar) if sidecar.exists() else None
-    if index is None:
+    if not sidecar.exists():
         return None
     try:
+        index = QueryIndex.open(sidecar)
         index.check_store(store)
     except QueryError as exc:
         key = str(sidecar.resolve())
@@ -117,7 +118,7 @@ def _sidecar_index(store: SymbolStore) -> Optional[QueryIndex]:
         # store stays visible on /metrics long after the first open.
         _obs_registry().counter(
             "store.stale_index_total",
-            "Opens that dropped a stale .rsymx sidecar",
+            "Opens that dropped a stale or unreadable .rsymx sidecar",
         ).inc()
         with _STALE_INDEX_LOCK:
             first = key not in _STALE_INDEX_WARNED
@@ -125,8 +126,7 @@ def _sidecar_index(store: SymbolStore) -> Optional[QueryIndex]:
         if first:
             warnings.warn(
                 StoreIntegrityWarning(
-                    f"ignoring stale query index {sidecar.name}: {exc} — "
-                    f"rebuild it with write_query_index after appending",
+                    f"ignoring stale query index {sidecar.name}: {exc}",
                     path=sidecar, kind="segment", reason="stale-index",
                 )
             )
@@ -225,13 +225,21 @@ class QueryEngine:
         """Open a store and its ``.rsymx`` sidecar when one is present.
 
         ``path`` may be a bare ``.rsym`` file or a segmented-store directory,
-        which keeps its sidecar inside.  A sidecar whose fingerprint no
-        longer matches — a segment was appended or quarantined, or the file
-        was rewritten, since it was built — is dropped with a warning
-        (emitted once per sidecar path per process) instead of failing the
-        open, and the first query that reads the index builds it in memory.
+        which keeps its sidecar inside.
         """
-        store = open_store(path, mmap=mmap)
+        return cls.over(open_store(path, mmap=mmap))
+
+    @classmethod
+    def over(cls, store: SymbolStore) -> "QueryEngine":
+        """An engine over the open ``store`` with its ``.rsymx`` sidecar.
+
+        A sidecar whose fingerprint no longer matches — a segment was
+        appended or quarantined, or the file was rewritten, since it was
+        built — or that cannot be read (truncated, or written in another
+        index format version) is dropped with a warning (emitted once per
+        sidecar path per process) instead of failing the open, and the
+        first query that reads the index builds it in memory.
+        """
         return cls(store, index=_sidecar_index(store))
 
     def reopen(self) -> "QueryEngine":
@@ -240,18 +248,20 @@ class QueryEngine:
 
         The store reopens through :meth:`SymbolStore.reopen`, so unchanged
         segments are shared, not reopened.  When the new generation only
-        appends segments to this one (:attr:`SymbolStore.appended`), the new
-        engine's summaries are this engine's plus the appended windows'
-        share, computed by the index build's own kernel: the index, when it
-        has the default bands folded by ``windows_per_day`` and the columns
-        already hold a day, and the run counts.  They are exact integers,
-        so every answer equals a cold :meth:`open`'s.  Any
-        other change — a quarantine, a rollback, a scrub repair, fewer
-        segments — takes the cold open's rules, and so does an append whose
-        share fails its checksums (the first query then meets the damage,
-        as after a cold open).  The reload is a ``store.reopen`` span whose
-        ``summaries`` is ``"carried"`` or ``"rebuilt"``.  This engine stays
-        usable until it is closed.
+        appends segments to this one (:attr:`SymbolStore.appended`) and this
+        engine holds an index with the default bands folded by
+        ``windows_per_day`` over columns that already hold a day, the new
+        engine's index is this one plus the appended windows' share,
+        computed by the index build's own kernel: histograms and run counts
+        add, peaks fold, and the stored last symbols tell which runs
+        continue across the cut.  They are exact integers, so every answer
+        equals a cold :meth:`open`'s.  Any other change — a quarantine, a
+        rollback, a scrub repair, fewer segments — takes the cold open's
+        rules, and so does an append whose share fails its checksums (the
+        first query then meets the damage, as after a cold open).  The
+        reload is a ``store.reopen`` span whose ``summaries`` is
+        ``"carried"`` or ``"rebuilt"``.  This engine stays usable until it
+        is closed.
         """
         with _obs_tracer().span("store.reopen") as span:
             store = self.store.reopen()
@@ -259,7 +269,7 @@ class QueryEngine:
                 engine = self._carried(store)
                 summaries = "rebuilt" if engine is None else "carried"
                 if engine is None:
-                    engine = QueryEngine(store, index=_sidecar_index(store))
+                    engine = QueryEngine.over(store)
             except BaseException:
                 store.close()
                 raise
@@ -272,46 +282,33 @@ class QueryEngine:
         return engine
 
     def _carried(self, store: SymbolStore) -> Optional["QueryEngine"]:
-        """An engine over ``store`` with this engine's summaries carried
+        """An engine over ``store`` with this engine's index carried
         forward; ``None`` unless ``store`` is an append of this engine's
-        store whose appended share passes its checksums."""
+        store whose appended share passes its checksums, and this engine
+        holds an index that a cold open would rebuild the same way."""
         if store.appended is None:
             return None
         with self._lock:
-            index, source = self._index, self._source
-        runs = self.store._run_counts
-        if source is not None:
-            with source._lock:  # in-flight requests may still be filling them
-                if source._run_counts is not None:
-                    runs = source._run_counts
+            index = self._index
         old, new = (int(s.counts[0]) if s.n_meters else 0 for s in (self.store, store))
-        if index is not None and not (
+        if index is None or not (
             index.n_bands == DEFAULT_BANDS
             and index.windows_per_day and old >= index.windows_per_day
         ):
-            # Carry only the index a cold open would rebuild: contiguous
+            # Carry only an index a cold open would rebuild: contiguous
             # bands depend on the column length, and a sidecar may have
             # been written with other bands.
-            index = None
-        carried = ColumnSource(store)
-        share = None
-        try:
-            if new > old and index is not None:
-                share = carried._scan_stats(
-                    0, store.n_meters, index.n_bands, (old, new)
-                )
-            if runs is not None:
-                last = next(
-                    (seg for seg in reversed(self.store.segments) if seg.counts.any()),
-                    None,
-                )
-                runs = runs + segment_run_counts(store.appended, store.n_meters, last)
-        except CorruptStoreError:
             return None
-        index = _sidecar_index(store) if index is None else index.extended(share, store)
-        carried.index, carried._run_counts = index, runs
-        engine = QueryEngine(store, index=index)
-        engine._source = carried
+        source = ColumnSource(store)
+        share = None
+        if new > old:
+            try:
+                share = source._scan_stats(0, store.n_meters, index.n_bands, (old, new))
+            except CorruptStoreError:
+                return None
+        source.index = index.extended(share, store)
+        engine = QueryEngine(store, index=source.index)
+        engine._source = source
         return engine
 
     @property
@@ -323,9 +320,8 @@ class QueryEngine:
     def source(self) -> ColumnSource:
         """The engine's cached :class:`ColumnSource` (one per open store).
 
-        It carries the engine's index once one is held, and caches the
-        fleet run counts, so repeated aggregates on an open engine never
-        re-decode columns.
+        It carries the engine's index once one is held, so repeated
+        aggregates on an open engine never re-decode columns.
         """
         with self._lock:
             if self._source is None:
@@ -516,8 +512,8 @@ class QueryEngine:
     ) -> AggregateReport:
         """Aggregation pushdown (see :func:`repro.query.aggregate_store`).
 
-        Histograms and peaks come off the engine's index, run counts off
-        its cached :attr:`source`, so repeated aggregates skip re-decoding.
+        Histograms, peaks and run counts come off the engine's index, so
+        repeated aggregates skip re-decoding.
         """
         self.index()
         return aggregate_store(

@@ -1,10 +1,10 @@
 """The ``.rsymx`` sidecar index: banded symbol histograms for pruning.
 
 A query index stores, for every column of a ``.rsym`` store, its symbol
-histogram *per time band* plus first/min/max symbol — a few hundred integers
-per meter, built in one pass and persisted next to the store.  The kNN
-engine turns the banded histograms into a position-aware lower bound on
-every candidate's distance with one matrix product
+histogram *per time band*, its peak and last symbol and its run count — a
+few hundred integers per meter, built in one pass and persisted next to the
+store.  The kNN engine turns the banded histograms into a position-aware
+lower bound on every candidate's distance with one matrix product
 (``sum_b sum_s hist[b, s] * min_{t in band b} bound(q_t, s)^2``), so most
 candidates are pruned *before any payload bytes are touched*.
 
@@ -14,22 +14,31 @@ meter days sweep low→high levels, so an unbanded histogram would let every
 symbol sit near *some* query value and bound nothing — folding by time of
 day is what makes the bound bite (the benchmark pins < 25% of candidates
 decoded per query).  Pattern matching uses the band-summed histograms to
-skip columns that lack a pattern's symbols entirely.
+skip columns that lack a pattern's symbols entirely.  Aggregates read the
+histograms, peaks and run counts (a run that continues across a segment
+boundary counts once); the last symbols let a reload add an append's runs
+without decoding the windows before it.
 
-On-disk layout mirrors the ``.rsym`` format (little-endian, JSON trailer)::
+On-disk layout (format version 2) mirrors the ``.rsym`` format
+(little-endian, JSON trailer)::
 
     offset 0   magic  b"RSYMIDX1"
-    offset 8   band histograms — (n_meters, n_bands, alphabet_size) uint32
-    ...        first/min/max symbols — three (n_meters,) uint32 arrays
+    offset 8   band histograms — (n_meters, n_bands, alphabet_size) cells of
+               the header's ``count_dtype`` (uint8, uint16 or uint32)
+    ...        peak symbols, last symbols, run counts — three (n_meters,)
+               uint32 arrays
     ...        header — JSON (sorted keys)
     ...        uint64 header length
     end - 8    magic  b"RSYMIDXE"
 
-The header records the parent store's fingerprint (meter count, alphabet,
-symbol count, layout, payload size); :meth:`QueryIndex.open` refuses a stale
-sidecar instead of silently pruning with wrong counts.  Files are
-byte-identical for every ``workers`` count — histogram entries are exact
-integers merged in task order.
+Version 1 stored first/min/max symbols and no run counts;
+:meth:`QueryIndex.open` refuses it like any other unreadable sidecar, and
+the engine then builds the index in memory at every open until ``repro
+query index`` rewrites the file.  The header records the parent store's
+fingerprint (meter count, alphabet, symbol count, layout, payload size);
+:meth:`QueryIndex.check_store` refuses a stale sidecar instead of silently
+pruning with wrong counts.  Files are byte-identical for every ``workers`` count —
+every entry is an exact integer merged in task order.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ __all__ = [
 
 MAGIC_HEAD = b"RSYMIDX1"
 MAGIC_TAIL = b"RSYMIDXE"
-VERSION = 1
+VERSION = 2
 
 #: Default time bands per column (3-hour bands for 15-minute windows).
 DEFAULT_BANDS = 8
@@ -65,6 +74,10 @@ _SYMBOL_DTYPE = np.dtype("<u4")
 #: count (1, 2 or 4 bytes) — a week of 15-minute windows needs one byte per
 #: (band, symbol) cell, so the sidecar stays a small fraction of the store.
 _COUNT_DTYPES = (np.dtype("<u1"), np.dtype("<u2"), np.dtype("<u4"))
+
+
+#: What every refusal of a sidecar ends with, said once.
+_REBUILD = "rebuild it with write_query_index() or 'repro query index'"
 
 
 def _count_dtype_for(max_count: int) -> np.dtype:
@@ -120,47 +133,45 @@ def _shard_stats(
     store: SymbolStore, start: int, stop: int, n_bands: int,
     window_range: Optional[tuple] = None,
 ) -> tuple:
-    """Banded histogram + first/min/max symbols for columns ``[start, stop)``.
+    """``(band histograms, peaks, run counts, first, last)`` of columns
+    ``[start, stop)``: per column its banded histogram, its peak symbol, its
+    number of runs and its first and last symbol (all 0 on an empty column).
 
     ``window_range`` scans only windows ``[lo, hi)`` (``hi > lo``) of
     equal-length columns, each in the band of its absolute position in the
-    column: the share those windows add to the whole column's statistics.
+    column: the share those windows add to the whole column's statistics
+    (:meth:`QueryIndex.extended` folds it in).
     """
     k = store.alphabet_size
     n = stop - start
     per_day = _store_bands(store, n_bands)
     hist = np.zeros((n, n_bands, k), dtype=np.int64)
-    first = np.zeros(n, dtype=np.int64)
-    lo_sym = np.zeros(n, dtype=np.int64)
-    hi_sym = np.zeros(n, dtype=np.int64)
+    stats = np.zeros((4, n), dtype=np.int64)  # peaks, runs, first, last
+
+    def fill(rows: slice, matrix: np.ndarray, band: np.ndarray) -> None:
+        m = matrix.shape[0]
+        flat = (np.arange(m)[:, None] * n_bands + band[None, :]) * k + matrix
+        hist[rows] = np.bincount(
+            flat.ravel(), minlength=m * n_bands * k
+        ).reshape(m, n_bands, k)
+        runs = 1 + np.count_nonzero(matrix[:, 1:] != matrix[:, :-1], axis=1)
+        stats[:, rows] = matrix.max(axis=1), runs, matrix[:, 0], matrix[:, -1]
+
     counts = store.counts[start:stop]
     if n and np.all(counts == counts[0]) and counts[0] > 0:
         width = int(counts[0])
         lo, hi = (0, width) if window_range is None else window_range
-        matrix = store.matrix_block(start, stop, (lo, hi))
         band = band_of_windows(width, n_bands, per_day)[lo:hi]
-        flat = (np.arange(n)[:, None] * n_bands + band[None, :]) * k + matrix
-        hist[:] = np.bincount(
-            flat.ravel(), minlength=n * n_bands * k
-        ).reshape(n, n_bands, k)
-        first[:] = matrix[:, 0]
-        lo_sym[:] = matrix.min(axis=1)
-        hi_sym[:] = matrix.max(axis=1)
-        return hist, first, lo_sym, hi_sym
-    if window_range is not None:
+        fill(slice(None), store.matrix_block(start, stop, (lo, hi)), band)
+    elif window_range is not None:
         raise QueryError("a window range needs non-empty columns of one length")
-    for row, column in enumerate(range(start, stop)):
-        indices = store.indices(store.ids[column])
-        if indices.size == 0:
-            continue
-        band = band_of_windows(indices.size, n_bands, per_day)
-        hist[row] = np.bincount(
-            band * k + indices, minlength=n_bands * k
-        ).reshape(n_bands, k)
-        first[row] = indices[0]
-        lo_sym[row] = indices.min()
-        hi_sym[row] = indices.max()
-    return hist, first, lo_sym, hi_sym
+    else:
+        for row, column in enumerate(range(start, stop)):
+            indices = store.indices(store.ids[column])
+            if indices.size:
+                band = band_of_windows(indices.size, n_bands, per_day)
+                fill(slice(row, row + 1), indices[None, :], band)
+    return (hist, *stats)
 
 
 class QueryIndex:
@@ -169,16 +180,16 @@ class QueryIndex:
     def __init__(
         self,
         band_histograms: np.ndarray,
-        first_symbols: np.ndarray,
-        min_symbols: np.ndarray,
         max_symbols: np.ndarray,
+        run_counts: np.ndarray,
+        last_symbols: np.ndarray,
         fingerprint: Dict,
         windows_per_day: Optional[int] = None,
     ) -> None:
         self.band_histograms = np.asarray(band_histograms, dtype=np.int64)
-        self.first_symbols = np.asarray(first_symbols, dtype=np.int64)
-        self.min_symbols = np.asarray(min_symbols, dtype=np.int64)
         self.max_symbols = np.asarray(max_symbols, dtype=np.int64)
+        self.run_counts = np.asarray(run_counts, dtype=np.int64)
+        self.last_symbols = np.asarray(last_symbols, dtype=np.int64)
         self.fingerprint = dict(fingerprint)
         self.windows_per_day = int(windows_per_day) if windows_per_day else None
         if self.band_histograms.ndim != 3:
@@ -222,15 +233,19 @@ class QueryIndex:
 
     def extended(self, share: Optional[tuple], store: SymbolStore) -> "QueryIndex":
         """This index for ``store``, whose columns continue this index's
-        columns with windows whose :func:`_shard_stats` are ``share``
-        (``None`` when no window was added): band histograms add, min and
-        max fold, first symbols stay."""
-        hist, lo, hi = self.band_histograms, self.min_symbols, self.max_symbols
+        non-empty columns with windows whose :func:`_shard_stats` are ``share``
+        (``None`` when no window was added): band histograms and run counts
+        add, peaks fold and last symbols move on.  A run that continues
+        across the cut (a stored last symbol equal to the share's first)
+        counts once."""
+        hist, peaks = self.band_histograms, self.max_symbols
+        runs, last = self.run_counts, self.last_symbols
         if share is not None:
-            hist = hist + share[0]
-            lo, hi = np.minimum(lo, share[2]), np.maximum(hi, share[3])
+            added, top, added_runs, first, last = share
+            hist, peaks = hist + added, np.maximum(peaks, top)
+            runs = runs + added_runs - (self.last_symbols == first)
         return QueryIndex(
-            hist, self.first_symbols, lo, hi, _store_fingerprint(store),
+            hist, peaks, runs, last, _store_fingerprint(store),
             windows_per_day=self.windows_per_day,
         )
 
@@ -244,8 +259,7 @@ class QueryIndex:
         if actual != self.fingerprint:
             raise QueryError(
                 f"query index is stale for {store.path.name}: index was built "
-                f"for {self.fingerprint}, store is {actual}; rebuild it with "
-                f"write_query_index() or 'repro query index'"
+                f"for {self.fingerprint}, store is {actual}; {_REBUILD}"
             )
 
     # -- persistence -------------------------------------------------------------
@@ -259,9 +273,9 @@ class QueryIndex:
         )
         arrays = [
             self.band_histograms.astype(count_dtype),
-            self.first_symbols.astype(_SYMBOL_DTYPE),
-            self.min_symbols.astype(_SYMBOL_DTYPE),
             self.max_symbols.astype(_SYMBOL_DTYPE),
+            self.last_symbols.astype(_SYMBOL_DTYPE),
+            self.run_counts.astype(_SYMBOL_DTYPE),
         ]
         header = {
             "version": VERSION,
@@ -286,53 +300,54 @@ class QueryIndex:
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "QueryIndex":
-        """Read a sidecar written by :meth:`write`."""
+        """Read a sidecar written by :meth:`write`; any file this version
+        cannot read raises :class:`QueryError`."""
         path = Path(path)
         if not path.exists():
             raise QueryError(f"no such query index: {path}")
+
+        def unreadable(reason: str) -> QueryError:
+            return QueryError(f"{path} {reason}; {_REBUILD}")
+
         raw = np.fromfile(path, dtype=np.uint8)
         if raw.size < len(MAGIC_HEAD) + 8 + len(MAGIC_TAIL):
-            raise QueryError(f"{path} is too short to be a query index")
+            raise unreadable("is too short to be a query index")
         if raw[: len(MAGIC_HEAD)].tobytes() != MAGIC_HEAD:
-            raise QueryError(f"{path} is not a query index (bad magic)")
+            raise unreadable("is not a query index (bad magic)")
         if raw[-len(MAGIC_TAIL):].tobytes() != MAGIC_TAIL:
-            raise QueryError(f"{path} is truncated (bad tail magic)")
+            raise unreadable("is truncated (bad tail magic)")
         (header_len,) = struct.unpack(
             "<Q", raw[-len(MAGIC_TAIL) - 8: -len(MAGIC_TAIL)].tobytes()
         )
         header_start = raw.size - len(MAGIC_TAIL) - 8 - header_len
         if header_start < len(MAGIC_HEAD):
-            raise QueryError(f"{path} has an inconsistent header length")
+            raise unreadable("has an inconsistent header length")
         try:
             header = json.loads(
                 raw[header_start: raw.size - len(MAGIC_TAIL) - 8].tobytes()
             )
-        except ValueError as exc:
-            raise QueryError(f"{path} has a corrupt header: {exc}") from None
-        if header.get("version") != VERSION:
-            raise QueryError(
-                f"{path} has index version {header.get('version')}, "
-                f"expected {VERSION}"
-            )
-        n = int(header["n_meters"])
-        bands = int(header["n_bands"])
-        k = int(header["alphabet_size"])
-        count_dtype = np.dtype(header.get("count_dtype", "<u4"))
+            version = header.get("version")
+            if version != VERSION:
+                raise unreadable(f"has index version {version}, expected {VERSION}")
+            n = int(header["n_meters"])
+            bands = int(header["n_bands"])
+            k = int(header["alphabet_size"])
+            count_dtype = np.dtype(header.get("count_dtype", "<u4"))
+            fingerprint, per_day = header["store"], header.get("windows_per_day")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise unreadable(f"has a corrupt header: {exc}") from None
         hist_nbytes = n * bands * k * count_dtype.itemsize
         expected = hist_nbytes + 3 * n * _SYMBOL_DTYPE.itemsize
         payload = raw[len(MAGIC_HEAD): header_start]
         if payload.size != expected:
-            raise QueryError(
-                f"{path} payload is {payload.size} bytes, expected {expected}"
-            )
+            raise unreadable(f"payload is {payload.size} bytes, expected {expected}")
         hist = payload[:hist_nbytes].view(count_dtype).astype(
             np.int64
         ).reshape(n, bands, k)
-        rest = payload[hist_nbytes:].view(_SYMBOL_DTYPE).astype(np.int64)
-        return cls(
-            hist, rest[:n], rest[n: 2 * n], rest[2 * n:],
-            header["store"], windows_per_day=header.get("windows_per_day"),
+        peaks, last, runs = (
+            payload[hist_nbytes:].view(_SYMBOL_DTYPE).astype(np.int64).reshape(3, n)
         )
+        return cls(hist, peaks, runs, last, fingerprint, windows_per_day=per_day)
 
 
 def build_query_index(

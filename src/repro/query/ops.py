@@ -132,11 +132,9 @@ class ColumnSource:
     """One store (file or segment directory) as a readable column set.
 
     All operator reads go through here so they are *counted* (``stats``).
-    Per-column histograms and peaks come off the attached
+    Per-column histograms, peaks and run counts come off the attached
     :class:`QueryIndex` (``index``) without touching payload bytes; the
-    :class:`QueryEngine` attaches its one index before it plans, and keeps
-    one source per open store, so fleet run counts are computed at most
-    once per snapshot.
+    :class:`QueryEngine` attaches its one index before it plans.
     """
 
     def __init__(self, store, index: Optional[QueryIndex] = None) -> None:
@@ -150,7 +148,6 @@ class ColumnSource:
         #: counted readers, which take the same lock.
         self._lock = threading.RLock()
         self._table: Optional[LookupTable] = None
-        self._run_counts: Optional[np.ndarray] = None
         # Registry instruments, resolved once per source so counted reads
         # pay one cached-attribute increment (no-op when metrics are off).
         metrics = _obs_registry()
@@ -171,14 +168,12 @@ class ColumnSource:
         """A source over the same open store for one plan shard thread.
 
         It counts its own reads (its own :class:`SourceStats`) but shares
-        this source's index and starts from its cached table and run
-        counts, taken under this source's lock, so a shard never recomputes
-        what the caller already holds.
+        this source's index and starts from its cached table, taken under
+        this source's lock, so a shard never resolves it again.
         """
         shard = ColumnSource(self.store, index=self.index)
         with self._lock:
             shard._table = self._table
-            shard._run_counts = self._run_counts
         return shard
 
     # -- delegated shape ---------------------------------------------------------
@@ -290,43 +285,18 @@ class ColumnSource:
 
     def column_stats(
         self, columns: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(histograms, peaks)`` for ``columns`` (default: whole fleet),
-        read off the attached index: zero payload reads."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(histograms, peaks, run counts)`` for ``columns`` (default: the
+        whole fleet), read off the attached index: zero payload reads."""
         if self.index is None:
             raise QueryError("column statistics need a query index attached")
         self._m_cache_hits.inc()
+        index = self.index
+        stats = (index.histograms, index.max_symbols, index.run_counts)
         if columns is None:
-            return self.index.histograms, self.index.max_symbols
+            return stats
         cols = np.asarray(list(columns), dtype=np.int64)
-        return self.index.histograms[cols], self.index.max_symbols[cols]
-
-    def run_counts(self, columns: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Run counts for ``columns`` (default: whole fleet, cached).
-
-        RLE columns read counts off the header; dense columns pay one
-        run-length scan, block-decoded for the whole fleet and for subsets.
-        """
-        store = self.store
-        if columns is None:
-            with self._lock:
-                if self._run_counts is None:
-                    if store.layout != "rle":
-                        self.stats.columns_decoded += store.n_meters
-                    self._run_counts = np.asarray(
-                        store.run_count_per_column(), dtype=np.int64
-                    )
-                return self._run_counts
-        cols = [int(c) for c in columns]
-        if self._run_counts is not None:
-            return self._run_counts[np.asarray(cols, dtype=np.int64)]
-        if store.layout == "rle":
-            return np.asarray(store.run_counts, dtype=np.int64)[
-                np.asarray(cols, dtype=np.int64)
-            ]
-        return np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            runs.run_counts() for _, runs in self.run_blocks(cols)
-        ])
+        return tuple(stat[cols] for stat in stats)
 
     def __repr__(self) -> str:
         indexed = "indexed" if self.index is not None else "no index"
@@ -667,9 +637,9 @@ class AggregateOperator(Operator):
     """Per-column symbol statistics over the column axis.
 
     ``run_shard`` returns exact-integer ``(histograms, peaks, run_counts)``
-    blocks; the float statistics (duty cycle, mean run length) are computed
-    once in ``merge`` from the concatenated integers, so results are
-    bit-identical for every worker count.
+    blocks off the source's index; the float statistics (duty cycle, mean
+    run length) are computed once in ``merge`` from the concatenated
+    integers, so results are bit-identical for every worker count.
     """
 
     level: int
@@ -677,9 +647,7 @@ class AggregateOperator(Operator):
     def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
         cols = [int(c) for c in items]
         subset = None if cols == list(range(source.n_columns)) else cols
-        hist, peaks = source.column_stats(subset)
-        run_count = source.run_counts(subset)
-        return hist, peaks, run_count
+        return source.column_stats(subset)
 
     def merge(self, parts, source, items, kept):
         from .aggregate import AggregateReport
@@ -731,13 +699,7 @@ class IndexBuildOperator(Operator):
     def run_shard(self, source: ColumnSource, items: Sequence) -> tuple:
         cols = [int(c) for c in items]
         if not cols:
-            k = source.alphabet_size
-            return (
-                np.zeros((0, self.n_bands, k), dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-            )
+            return _shard_stats(source.store, 0, 0, self.n_bands)  # no read
         if cols != list(range(cols[0], cols[-1] + 1)):
             raise QueryError("index build shards must be contiguous")
         return source._scan_stats(cols[0], cols[-1] + 1, self.n_bands)
@@ -745,12 +707,10 @@ class IndexBuildOperator(Operator):
     def merge(self, parts, source, items, kept) -> QueryIndex:
         from .index import _store_bands, _store_fingerprint
 
+        hist, peaks, runs, _, last = zip(*parts)
         return QueryIndex(
-            np.vstack([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-            np.concatenate([p[3] for p in parts]),
-            _store_fingerprint(source.store),
+            np.vstack(hist), np.concatenate(peaks), np.concatenate(runs),
+            np.concatenate(last), _store_fingerprint(source.store),
             windows_per_day=_store_bands(source.store, self.n_bands),
         )
 
@@ -934,7 +894,7 @@ class DriftOperator(Operator):
         subset = None if cols == list(range(source.n_columns)) else cols
         with source._lock:
             before = source.stats.columns_decoded
-            hist, _ = source.column_stats(subset)
+            hist = source.column_stats(subset)[0]
             decoded = source.stats.columns_decoded - before
         return np.asarray(hist, dtype=np.int64), decoded
 

@@ -251,7 +251,7 @@ class ScanPlan:
 
         Each shard reads the caller's open store through its own
         :class:`ColumnSource` (per-shard read accounting over the caller's
-        index and cached run counts, :meth:`ColumnSource.for_shard`) and
+        index and cached table, :meth:`ColumnSource.for_shard`) and
         runs in a copy of the caller's context, so the request's deadline
         and trace id reach it.  Its ``plan.shard`` span finishes as a collected root and
         hangs under the plan span in task order, whatever order the threads

@@ -17,7 +17,7 @@
   under the manager lock) while in-flight requests keep theirs, and
   retired snapshots close only when their last lease drops.  A reload
   opens only the new segments, shares the unchanged ones with the retiring
-  snapshot, and carries its index, fleet histograms and run counts
+  snapshot, and carries its index (fleet histograms, peaks and run counts)
   forward (:meth:`~repro.query.QueryEngine.reopen`), so it costs what the
   append added;
 * **circuit breaker + degraded serving** — repeated
@@ -356,6 +356,10 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; all state lives on ``self.server`` (the QueryServer)."""
 
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle's algorithm on,
+    #: the body of a kept-alive response would wait for the client's
+    #: delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
     #: Seconds one socket read or write may wait, so a body shorter than its
     #: ``Content-Length`` closes the connection instead of holding a thread.
     timeout = 30.0

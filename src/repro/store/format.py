@@ -236,7 +236,7 @@ class SymbolStoreWriter:
         self._counts: List[int] = []
         self._offsets: List[int] = []
         self._column_crcs: List[int] = []
-        self._run_counts: List[int] = []
+        self._runs_per_column: List[int] = []
         self._length_chunks: List[np.ndarray] = []
         self._position = 0
         self._closed = False
@@ -354,7 +354,7 @@ class SymbolStoreWriter:
                 f"packed run values of {lengths.size} runs must be "
                 f"{expected} bytes, got {len(packed_values)}"
             )
-        self._run_counts.append(int(lengths.size))
+        self._runs_per_column.append(int(lengths.size))
         self._length_chunks.append(lengths.astype(_LENGTH_DTYPE))
         self._append_payload(column_id, packed_values, count, table, label, crc)
 
@@ -433,7 +433,7 @@ class SymbolStoreWriter:
             "metadata": self.metadata,
         }
         if self.layout == RLE:
-            header["run_counts"] = self._run_counts
+            header["run_counts"] = self._runs_per_column
             header["lengths_offset"] = self._position
             lengths = (
                 np.concatenate(self._length_chunks)
@@ -851,18 +851,6 @@ class _Segment:
     #: Most columns one run or verify pass decodes at once — bounds memory
     #: to one block, keeping the read path out-of-core.
     _RUN_SCAN_BLOCK = 4096
-
-    def run_count_per_column(self) -> np.ndarray:
-        """Number of RLE runs in every column (computed for dense segments).
-
-        RLE segments read this off the header; dense segments run one
-        :meth:`runs_block` per block of at most ``_RUN_SCAN_BLOCK`` columns.
-        """
-        if self.layout == RLE:
-            return self.run_counts.copy()
-        n_blocks = max(1, -(-self.n_meters // self._RUN_SCAN_BLOCK))
-        blocks = np.array_split(np.arange(self.n_meters), n_blocks)
-        return np.concatenate([self.runs_block(block).run_counts() for block in blocks])
 
     def matrix(
         self,

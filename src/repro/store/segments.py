@@ -401,7 +401,6 @@ class SymbolStore:
             ).astype(np.int64)
         else:
             self.counts = np.zeros(len(self.ids), dtype=np.int64)
-        self._run_counts: Optional[np.ndarray] = None
 
     # -- construction ------------------------------------------------------------
 
@@ -787,24 +786,6 @@ class SymbolStore:
             block = columns[start: start + step]
             yield block, self.runs_block(block)
 
-    @property
-    def run_counts(self) -> np.ndarray:
-        """Logical run count per column (boundary-merged), computed once.
-
-        RLE segments read their counts off the header; dense segments pay
-        one block-decoded scan.  A run continuing across a boundary counts
-        once.
-        """
-        if self._run_counts is None:
-            self._run_counts = segment_run_counts(self._segments, self.n_meters)
-        return self._run_counts
-
-    def run_count_per_column(self) -> np.ndarray:
-        """Number of runs in every column; ``n_symbols / sum`` is the mean
-        run length, the factor by which run-level pattern matching scans
-        fewer elements than the expanded windows."""
-        return self.run_counts.copy()
-
     def decode(
         self,
         meters: Optional[Sequence] = None,
@@ -901,32 +882,6 @@ class SymbolStore:
 
 #: The same class under the name the segmented-store API introduced.
 SegmentedStore = SymbolStore
-
-
-def segment_run_counts(
-    segments: Sequence[_Segment],
-    n_columns: int,
-    previous: Optional[_Segment] = None,
-) -> np.ndarray:
-    """Run count per column over ``segments`` laid end to end.
-
-    Each segment adds its own run counts, and a run that continues across
-    a boundary counts once.  ``previous`` is the non-empty segment just
-    before ``segments``, whose runs are counted elsewhere: a run continuing
-    from it into the first of them also counts once.  Empty segments are
-    skipped.
-    """
-    totals = np.zeros(int(n_columns), dtype=np.int64)
-    live = [seg for seg in segments if int(seg.counts.sum())]
-    for segment in live:
-        totals += segment.run_count_per_column()
-    chain = ([previous] if previous is not None else []) + live
-    for left, right in zip(chain, chain[1:]):
-        width = int(left.counts[0])
-        last = left.matrix(window_range=(width - 1, width)).ravel()
-        first = right.matrix(window_range=(0, 1)).ravel()
-        totals -= (last == first).astype(np.int64)
-    return totals
 
 
 # -- writers ---------------------------------------------------------------------

@@ -254,8 +254,7 @@ class TestEngineDeadline:
 
 
 def _stats_bytes(source) -> bytes:
-    histograms, peaks = source.column_stats()
-    return histograms.tobytes() + peaks.tobytes()
+    return b"".join(stat.tobytes() for stat in source.column_stats())
 
 
 class TestThreadSafety:
@@ -267,7 +266,6 @@ class TestThreadSafety:
             "agg": engine.aggregate(),
             "anomaly": engine.anomaly(),
             "stats": _stats_bytes(engine.source),
-            "runs": engine.source.run_counts().tobytes(),
         }
         failures: list = []
         barrier = threading.Barrier(8)
@@ -287,16 +285,16 @@ class TestThreadSafety:
                         agg.symbol_counts.tobytes()
                         == reference["agg"].symbol_counts.tobytes()
                     )
+                    assert (
+                        agg.run_count.tobytes()
+                        == reference["agg"].run_count.tobytes()
+                    )
                     scores = engine.anomaly().scores
                     assert (
                         scores.tobytes()
                         == reference["anomaly"].scores.tobytes()
                     )
                     assert _stats_bytes(engine.source) == reference["stats"]
-                    assert (
-                        engine.source.run_counts().tobytes()
-                        == reference["runs"]
-                    )
             except BaseException as exc:  # noqa: BLE001
                 failures.append(exc)
 

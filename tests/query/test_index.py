@@ -46,12 +46,14 @@ class TestStatistics:
                     index.band_histograms[row, band], expected
                 )
 
-    def test_first_min_max_symbols(self, store):
+    def test_peak_last_symbols_and_run_counts(self, store):
         index = build_query_index(store)
         matrix = store.matrix()
-        np.testing.assert_array_equal(index.first_symbols, matrix[:, 0])
-        np.testing.assert_array_equal(index.min_symbols, matrix.min(axis=1))
         np.testing.assert_array_equal(index.max_symbols, matrix.max(axis=1))
+        np.testing.assert_array_equal(index.last_symbols, matrix[:, -1])
+        np.testing.assert_array_equal(
+            index.run_counts, 1 + np.count_nonzero(np.diff(matrix, axis=1), axis=1)
+        )
 
     def test_rle_store_same_statistics(self, store, tmp_path):
         rng = np.random.default_rng(3)
@@ -65,6 +67,10 @@ class TestStatistics:
         np.testing.assert_array_equal(
             dense_index.band_histograms, rle_index.band_histograms
         )
+        # The RLE header's stored run counts are the index's run counts.
+        (segment,) = rle.segments
+        np.testing.assert_array_equal(rle_index.run_counts, segment.run_counts)
+        np.testing.assert_array_equal(dense_index.run_counts, segment.run_counts)
 
 
 class TestBanding:
@@ -90,9 +96,9 @@ class TestPersistence:
         path = index.write(tmp_path / "x.rsymx")
         loaded = QueryIndex.open(path)
         np.testing.assert_array_equal(loaded.band_histograms, index.band_histograms)
-        np.testing.assert_array_equal(loaded.first_symbols, index.first_symbols)
-        np.testing.assert_array_equal(loaded.min_symbols, index.min_symbols)
         np.testing.assert_array_equal(loaded.max_symbols, index.max_symbols)
+        np.testing.assert_array_equal(loaded.last_symbols, index.last_symbols)
+        np.testing.assert_array_equal(loaded.run_counts, index.run_counts)
         assert loaded.fingerprint == index.fingerprint
         assert loaded.windows_per_day == index.windows_per_day
         loaded.check_store(store)  # does not raise
@@ -109,6 +115,15 @@ class TestPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(QueryError):
+            QueryIndex.open(path)
+
+    def test_other_version_is_refused(self, store, tmp_path):
+        # A version-1 sidecar (first/min/max symbols, no run counts).
+        path = build_query_index(store).write(tmp_path / "x.rsymx")
+        blob = path.read_bytes()
+        assert blob.count(b'"version":2') == 1
+        path.write_bytes(blob.replace(b'"version":2', b'"version":1'))
+        with pytest.raises(QueryError, match="index version 1, expected 2"):
             QueryIndex.open(path)
 
     def test_missing_file_is_refused(self, tmp_path):

@@ -91,8 +91,8 @@ class TestColumnSource:
         index = engine.index()
         decoded = source.stats.columns_decoded
         assert decoded == file_store.n_meters  # the build's one scan
-        hist, peaks = source.column_stats()
-        sub_h, sub_p = source.column_stats([1, 4])
+        hist, peaks, _ = source.column_stats()
+        sub_h, sub_p, _ = source.column_stats([1, 4])
         assert source.stats.columns_decoded == decoded  # off the index
         matrix = file_store.matrix()
         k = file_store.alphabet_size
@@ -107,20 +107,29 @@ class TestColumnSource:
     def test_index_backed_stats_read_nothing(self, file_store):
         index = build_query_index(file_store)
         source = ColumnSource(file_store, index=index)
-        hist, peaks = source.column_stats()
-        sub_h, _ = source.column_stats([2, 7])
+        hist, peaks, runs = source.column_stats()
+        sub_h, _, _ = source.column_stats([2, 7])
         assert source.stats.columns_decoded == 0
         np.testing.assert_array_equal(hist, index.histograms)
         np.testing.assert_array_equal(sub_h, index.histograms[[2, 7]])
         np.testing.assert_array_equal(peaks, index.max_symbols)
+        np.testing.assert_array_equal(runs, index.run_counts)
 
     def test_run_counts_cached_and_sliced(self, file_store):
-        source = ColumnSource(file_store)
-        full = source.run_counts()
+        """Run counts are column statistics: the index build counts them
+        once, and the fleet and any subset read them with no decode."""
+        engine = QueryEngine(file_store)
+        source = engine.source
+        engine.index()
         decoded = source.stats.columns_decoded
-        sub = source.run_counts([0, 5])
+        full = source.column_stats()[2]
+        sub = source.column_stats([0, 5])[2]
         assert source.stats.columns_decoded == decoded
         np.testing.assert_array_equal(sub, full[[0, 5]])
+        matrix = file_store.matrix()
+        np.testing.assert_array_equal(
+            full, 1 + np.count_nonzero(np.diff(matrix, axis=1), axis=1)
+        )
 
     def test_matrix_block_matches_meter_list(self, file_store, seg_dir):
         with open_store(seg_dir) as seg:

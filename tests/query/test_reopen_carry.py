@@ -1,12 +1,14 @@
-"""``QueryEngine.reopen`` carries its summaries forward, and they equal a cold open's.
+"""``QueryEngine.reopen`` carries its index forward, and it equals a cold open's.
 
 Across random sequences of appends (zero-width ones included), drift-cut
 appends with a new table epoch, scrub quarantines and manifest rollbacks,
-the reopened engine's index, whole-fleet histograms and peaks, and run
-counts equal those of a cold ``QueryEngine.open`` followed by
-``build_query_index`` at every generation: on the carried path, and on
-every fallback (a quarantine, a rollback, no ``windows_per_day``, columns
-shorter than one day).
+the reopened engine's index — band histograms, peaks, last symbols and run
+counts — equals a cold ``QueryEngine.open`` followed by
+``build_query_index`` at every generation, and its run counts equal the
+ones the decoded matrix has: on the carried path, and on every fallback (a
+quarantine, a rollback, no ``windows_per_day``, columns shorter than one
+day).  On RLE stores the index's run counts are the headers' stored counts,
+less one for each run that continues across a segment boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from repro.obs import registry, span, tracer
 from repro.obs.trace import recent_traces
 from repro.query import QueryEngine
 from repro.query.index import DEFAULT_BANDS, build_query_index, write_query_index
-from repro.store import SymbolStore, append_segment, faults, scrub_store, write_segmented_fleet
+from repro.store import (
+    RLE, SymbolStore, SymbolStoreWriter, append_segment, create_segmented_store,
+    faults, scrub_store, write_segmented_fleet,
+)
 
 N_METERS, ALPHABET, PER_DAY = 7, 8, 24
 
@@ -62,22 +67,28 @@ def _step(directory: Path, engine: QueryEngine, step: str, rng) -> None:
 
 
 def _warm(engine: QueryEngine, rng) -> None:
-    """Fill some of the summaries a reload may carry."""
+    """Build the index a reload may carry, or leave it unbuilt."""
     if rng.random() < 0.5:
         engine.index()
     if rng.random() < 0.6:
         engine.aggregate()
-    if rng.random() < 0.3:
-        engine.store.run_count_per_column()
+
+
+def _matrix_runs(matrix: np.ndarray) -> np.ndarray:
+    """Run count of every row, derived from the decoded symbols."""
+    if matrix.shape[1] == 0:
+        return np.zeros(matrix.shape[0], dtype=np.int64)
+    return 1 + np.count_nonzero(np.diff(matrix, axis=1), axis=1)
 
 
 def _assert_equals_cold(engine: QueryEngine, directory: Path) -> None:
-    """The reload's one index (carried, or built by its first query) and
-    run counts equal a cold open's, and the index has the default bands."""
+    """The reload's one index (carried, or built by its first query)
+    equals a cold open's, has the default bands, and counts the runs the
+    decoded matrix has."""
     cold = QueryEngine.open(directory)
     try:
         reference = build_query_index(cold.store)
-        runs = cold.store.run_count_per_column()
+        runs = _matrix_runs(cold.store.matrix())
     finally:
         cold.close()
     index = engine.index()
@@ -85,13 +96,13 @@ def _assert_equals_cold(engine: QueryEngine, directory: Path) -> None:
     assert index.fingerprint == reference.fingerprint
     assert index.windows_per_day == reference.windows_per_day
     assert np.array_equal(index.band_histograms, reference.band_histograms)
-    assert np.array_equal(index.first_symbols, reference.first_symbols)
-    assert np.array_equal(index.min_symbols, reference.min_symbols)
     assert np.array_equal(index.max_symbols, reference.max_symbols)
-    hist, peaks = engine.source.column_stats()
+    assert np.array_equal(index.last_symbols, reference.last_symbols)
+    assert np.array_equal(index.run_counts, reference.run_counts)
+    hist, peaks, source_runs = engine.source.column_stats()
     assert np.array_equal(hist, reference.histograms)
     assert np.array_equal(peaks, reference.max_symbols)
-    assert np.array_equal(engine.source.run_counts(), runs)
+    assert np.array_equal(source_runs, runs)
 
 
 def _run(steps, per_day: bool, days: float, seed: int) -> int:
@@ -136,8 +147,8 @@ def test_carried_summaries_equal_a_cold_open(steps, per_day, days, seed):
 
 @pytest.mark.parametrize("per_day,days", [
     (True, 2.5),      # the index folds by day and carries
-    (True, 0.5),      # shorter than a day: the index is rebuilt, the rest carries
-    (False, 2.5),     # contiguous bands: the index is rebuilt, the rest carries
+    (True, 0.5),      # shorter than a day: the index is rebuilt
+    (False, 2.5),     # contiguous bands: the index is rebuilt
 ])
 def test_appends_alone_always_carry(per_day, days):
     steps = ["append", "empty", "append", "drift", "append"]
@@ -161,6 +172,58 @@ def test_the_carried_index_is_the_old_one_plus_the_share(tmp_path):
     finally:
         engine.close()
         reopened.close()
+
+
+def _rle_symbols() -> np.ndarray:
+    symbols = np.random.default_rng(12).integers(0, ALPHABET, size=(N_METERS, 3 * PER_DAY))
+    symbols[:, PER_DAY - 5: PER_DAY + 7] = 3   # a run across the first cut
+    symbols[:2, 2 * PER_DAY - 1: 2 * PER_DAY + 1] = 6   # meters 0, 1: the second
+    return symbols
+
+
+def test_bare_rle_file_run_counts_are_the_headers(tmp_path):
+    symbols = _rle_symbols()
+    path = tmp_path / "fleet.rsym"
+    table = LookupTable.fit(np.random.default_rng(1).normal(size=200), ALPHABET)
+    with SymbolStoreWriter(path, ALPHABET, layout=RLE, tables=table) as writer:
+        writer.append_matrix(list(range(N_METERS)), symbols)
+    with QueryEngine.open(path) as engine:
+        (segment,) = engine.store.segments
+        assert np.array_equal(engine.index().run_counts, segment.run_counts)
+        assert np.array_equal(engine.index().run_counts, _matrix_runs(symbols))
+
+
+def test_segmented_rle_run_counts_merge_across_boundaries(tmp_path):
+    """Each segment's header counts a run that crosses a cut once more;
+    the index counts it once, carried across the appends and cold."""
+    symbols = _rle_symbols()
+    directory = tmp_path / "fleet.rsyms"
+    table = LookupTable.fit(np.random.default_rng(1).normal(size=200), ALPHABET)
+    create_segmented_store(
+        directory, alphabet_size=ALPHABET, layout=RLE,
+        metadata={"windows_per_day": PER_DAY}, ids=list(range(N_METERS)),
+    ).close()
+    append_segment(directory, symbols[:, :PER_DAY], tables=table)
+    engine = QueryEngine.open(directory)
+    try:
+        engine.index()
+        for cut in (PER_DAY, 2 * PER_DAY):
+            append_segment(directory, symbols[:, cut: cut + PER_DAY], tables=table)
+            reopened = engine.reopen()
+            engine.close()
+            engine = reopened
+            assert engine._index is not None  # carried, not rebuilt
+        stored = sum(segment.run_counts for segment in engine.store.segments)
+        crossing = sum(
+            (symbols[:, cut - 1] == symbols[:, cut]).astype(np.int64)
+            for cut in (PER_DAY, 2 * PER_DAY)
+        )
+        assert crossing.min() >= 1 and crossing[:2].min() == 2
+        assert np.array_equal(engine.index().run_counts, stored - crossing)
+        assert np.array_equal(engine.index().run_counts, _matrix_runs(symbols))
+        _assert_equals_cold(engine, directory)
+    finally:
+        engine.close()
 
 
 def test_an_index_with_other_bands_is_not_carried(tmp_path):

@@ -2,15 +2,14 @@
 
 Appends arrive over HTTP while the server keeps answering, so each read
 reloads the snapshot through ``QueryEngine.reopen`` and its carried
-summaries.  After 1, 5 and 40 appends every verb's wire body must equal the
+index.  After 1, 5 and 40 appends every verb's wire body must equal the
 codec output of a cold in-process engine at the same generation — on a
 store with ``windows_per_day`` (the index carries) and on one without it
-(the index is rebuilt), with the served verbs asked in one fixed order so
-both sides build an in-memory index at the same point.  An HTTP append
-carries the table of the store's newest segment, so the table-bound verbs
-(``knn``, ``private_agg``) answer too; appends made in process with the
-store's table, and ones that cut a new table epoch, are checked the same
-way.
+(the index is rebuilt), with the verbs asked in one order (``match``
+first) and then in the reverse one.  An HTTP append carries the table of
+the store's newest segment, so the table-bound verbs (``knn``,
+``private_agg``) answer too; appends made in process with the store's
+table, and ones that cut a new table epoch, are checked the same way.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from repro.store import SymbolStore, append_segment, write_segmented_fleet
 N_METERS, ALPHABET, PER_DAY, DAYS = 10, 8, 24, 3
 CHECKS = (1, 5, 40)
 
-#: Verbs that build the in-memory index (knn, drift) run before match, so a
-#: cold engine and the served one prune the same columns.
-ORDER = ("knn", "private_agg", "drift", "match", "agg", "anomaly")
+ORDER = ("knn", "private_agg", "drift", "agg", "anomaly", "match")
 TABLE_FREE = ("drift", "match", "agg", "anomaly")
 
 
@@ -87,6 +84,15 @@ def _assert_parity(client: ServeClient, directory, verbs) -> int:
     return answered
 
 
+def _assert_parity_both_orders(client: ServeClient, directory) -> int:
+    """Every verb in reverse ``ORDER`` (``match`` first, so after a reload
+    both sides meet it first), then in ``ORDER``; each pass opens its own
+    cold engine."""
+    return sum(
+        _assert_parity(client, directory, verbs) for verbs in (ORDER[::-1], ORDER)
+    )
+
+
 def _store(tmp_path, per_day: bool):
     directory = tmp_path / "fleet.rsyms"
     values = np.random.default_rng(41).normal(size=(N_METERS, DAYS * PER_DAY)).cumsum(axis=1)
@@ -106,11 +112,11 @@ def test_http_appends_answer_like_a_cold_engine(tmp_path, per_day):
     directory = _store(tmp_path, per_day)
     with QueryServer({"fleet": directory}, ServerConfig(tracing=False)) as server:
         client = ServeClient(server.url, timeout=30.0)
-        assert _assert_parity(client, directory, ORDER) == len(ORDER)
+        assert _assert_parity_both_orders(client, directory) == 2 * len(ORDER)
         for i in range(1, max(CHECKS) + 1):
             client.append("fleet", _hour(i), idempotency_key=f"hour-{i}")
             if i in CHECKS:
-                assert _assert_parity(client, directory, ORDER) == len(ORDER)
+                assert _assert_parity_both_orders(client, directory) == 2 * len(ORDER)
             else:
                 assert _assert_parity(client, directory, ("agg",)) == 1
         # The last reload was an append of the snapshot before it.
@@ -127,8 +133,10 @@ def test_appends_with_the_store_table_answer_every_verb(tmp_path, per_day):
         client = ServeClient(server.url, timeout=30.0)
         for i in range(1, max(CHECKS) + 1):
             append_segment(directory, _hour(i), tables=table)
-            verbs = ORDER if i in CHECKS else ("knn",)
-            assert _assert_parity(client, directory, verbs) == len(verbs)
+            if i in CHECKS:
+                assert _assert_parity_both_orders(client, directory) == 2 * len(ORDER)
+            else:
+                assert _assert_parity(client, directory, ("knn",)) == 1
 
 
 def test_a_new_table_epoch_answers_the_table_free_verbs(tmp_path):
@@ -136,7 +144,7 @@ def test_a_new_table_epoch_answers_the_table_free_verbs(tmp_path):
     epoch = LookupTable.fit(np.random.default_rng(7).normal(size=500), ALPHABET)
     with QueryServer({"fleet": directory}, ServerConfig(tracing=False)) as server:
         client = ServeClient(server.url, timeout=30.0)
-        assert _assert_parity(client, directory, ORDER) == len(ORDER)
+        assert _assert_parity_both_orders(client, directory) == 2 * len(ORDER)
         for i in range(1, 6):
             append_segment(directory, _hour(i), tables=epoch, reason="drift")
             assert _assert_parity(client, directory, TABLE_FREE) == len(TABLE_FREE)

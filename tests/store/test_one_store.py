@@ -16,7 +16,7 @@ import pytest
 from repro.core.lookup import LookupTable
 from repro.errors import StoreIntegrityWarning
 from repro.obs import registry
-from repro.query import QueryConfig, QueryEngine, write_query_index
+from repro.query import QueryConfig, QueryEngine, build_query_index, write_query_index
 from repro.store import (
     DENSE,
     RLE,
@@ -86,7 +86,7 @@ def _reads(store: SymbolStore) -> dict:
         "whole_block": store.matrix_block(0, len(IDS)),
         "run_values": [values for values, _ in runs],
         "run_lengths": [lengths for _, lengths in runs],
-        "run_counts": store.run_count_per_column(),
+        "run_counts": build_query_index(store).run_counts,
         "decode": store.decode(day_range=(1, 5)),
         "decode_subset": store.decode(meters=["e", "a"], window_range=(5, 140)),
         "tables": store.tables,

@@ -231,8 +231,9 @@ def test_one_read_per_segment_per_block(counted_store, monkeypatch, verb):
             if verb == "anomaly" and engine.store.layout == DENSE
             else ("runs_read", "store.runs_read_total")
         )
-        total_runs = int(engine.store.run_count_per_column().sum())
-        engine.index()  # match's first call builds it: count only the verb
+        # match's first call builds the index: build it here, so only the
+        # verb's reads are counted.
+        total_runs = int(engine.index().run_counts.sum())
         calls = _count_segment_reads(monkeypatch)
         reg = registry()
         runs_before = reg.counter_value(counter)

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.core.streaming import OnlineEncoder
 from repro.errors import CorruptStoreError, StoreError, StoreIntegrityWarning
-from repro.query import QueryEngine, write_query_index
+from repro.query import QueryEngine, build_query_index, write_query_index
 from repro.query.engine import QueryConfig
 from repro.store import (
     RLE,
@@ -78,7 +78,7 @@ class TestParity:
                 assert np.array_equal(sv, rv)
                 assert np.array_equal(sl, rl)
             assert np.array_equal(
-                seg.run_count_per_column(), ref.run_count_per_column()
+                build_query_index(seg).run_counts, build_query_index(ref).run_counts
             )
 
     def test_decode_and_tables(self, seg_dir, ref_store):
@@ -105,7 +105,9 @@ class TestParity:
         )
         assert seg.layout == RLE
         assert np.array_equal(seg.matrix(), ref.matrix())
-        assert np.array_equal(seg.run_counts, ref.run_counts)
+        assert np.array_equal(
+            build_query_index(seg).run_counts, build_query_index(ref).run_counts
+        )
         sv, sl = seg.runs(9)
         rv, rl = ref.runs(9)
         assert np.array_equal(sv, rv) and np.array_equal(sl, rl)
