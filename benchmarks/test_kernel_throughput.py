@@ -2,8 +2,9 @@
 
 The PR 6 kernel-speed pass in numbers: symbols/s per bit-width for the
 pack / unpack / slice kernels (LUT + strided decode for aligned widths,
-phase decode for odd ones), and the batched multi-query bound against the
-per-query matvec it replaced.  Exact kNN scoring is gated end to end by
+phase decode for odd ones), the batched multi-query bound against the
+per-query matvec it replaced, and the band transport bound kNN applies to
+each query's frontier.  Exact kNN scoring is gated end to end by
 ``test_knn_pruned_throughput`` and ``test_knn_brute_force_throughput`` in
 ``test_query_throughput.py``.  CI runs this file with
 ``--benchmark-json=BENCH_kernels.json`` and uploads it next to the other
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.query.distance import banded_min_cells, histogram_bound
+from repro.query.distance import banded_min_cells, histogram_bound, transport_bound
 from repro.store import pack_indices, unpack_indices, unpack_slice
 
 from .conftest import write_result
@@ -146,6 +147,47 @@ def test_per_query_bound_throughput(benchmark, bound_workload):
     _RESULT_LINES[("bound_per_query", 0)] = N_QUERIES / mean
 
 
+#: Candidates per query in the transport benchmark: about the frontier the
+#: banded minimum leaves a kNN query (a tenth to a quarter of the fleet).
+FRONTIER = 64
+
+
+@pytest.fixture(scope="module")
+def transport_workload():
+    rng = np.random.default_rng(13)
+    queries = rng.lognormal(5.0, 1.0, size=(N_QUERIES, T_WINDOWS))
+    recon = np.sort(rng.lognormal(5.0, 1.0, size=ALPHABET))
+    bands = (np.arange(T_WINDOWS) % 96) * N_BANDS // 96
+    symbols = rng.integers(0, ALPHABET, size=(N_CANDIDATES, T_WINDOWS))
+    hist = np.zeros((N_CANDIDATES, N_BANDS, ALPHABET), dtype=np.int64)
+    np.add.at(hist, (np.arange(N_CANDIDATES)[:, None], bands[None, :], symbols), 1)
+    rows = np.repeat(np.arange(N_QUERIES), FRONTIER)
+    cols = np.concatenate([
+        rng.choice(N_CANDIDATES, size=FRONTIER, replace=False)
+        for _ in range(N_QUERIES)
+    ])
+    return queries, bands, recon, symbols, hist, rows, cols
+
+
+def test_transport_bound_throughput(benchmark, transport_workload):
+    """The band transport bound over frontier-sized pair sets: every query
+    against ``FRONTIER`` candidates, as kNN tightens each frontier."""
+    queries, bands, recon, symbols, hist, rows, cols = transport_workload
+
+    def frontier():
+        return transport_bound(
+            queries, bands, N_BANDS, recon, hist, rows=rows, cols=cols
+        )
+
+    bound, allowance = benchmark(frontier)
+    exact = ((queries[rows] - recon[symbols[cols]]) ** 2).sum(axis=1)
+    assert np.all(bound - allowance <= exact)
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info["pairs"] = int(rows.size)
+    benchmark.extra_info["bounds_per_s"] = rows.size / mean
+    _RESULT_LINES[("bound_transport", 0)] = N_QUERIES / mean
+
+
 def test_write_kernel_results(results_dir):
     """Persist the rendered table after the benchmarks above have run."""
     if not _RESULT_LINES:
@@ -162,6 +204,7 @@ def test_write_kernel_results(results_dir):
     for label, title in (
         ("bound_batched", "batched bound"),
         ("bound_per_query", "per-query bound"),
+        ("bound_transport", "transport bound"),
     ):
         if (label, 0) in _RESULT_LINES:
             lines.append(

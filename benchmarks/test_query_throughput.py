@@ -9,9 +9,11 @@ artifacts; each entry's ``extra_info`` carries the derived numbers
 scan fraction).
 
 The assertions double as acceptance checks: pruned kNN must return
-bit-identical neighbour sets to brute force while decoding **< 25 %** of
-candidate columns per query on this benchmark fleet, and pattern matching
-must scan fewer elements than the expanded windows.
+bit-identical neighbour sets to brute force while refining **< 12 %** of
+the candidates per query on this benchmark fleet (the banded-minimum bound
+orders the candidates, the band transport bound tightens each query's
+frontier), and pattern matching must scan fewer elements than the
+expanded windows.
 
 The segmented entry runs one-vector kNN scans over the same fleet stored
 as 168 hourly segments, as an hourly append feed leaves it: a query block
@@ -118,10 +120,11 @@ def test_knn_pruned_throughput(benchmark, query_store, query_batch):
     np.testing.assert_array_equal(result.distances, brute.distances)
     stats = result.stats
     assert stats.index_used
-    # Acceptance: < 25 % of candidate columns decoded per query.
-    assert stats.decoded_fraction < 0.25, (
+    # Acceptance: < 12 % of candidates refined per query.  A count, so it
+    # repeats exactly: 0.228 under the banded minimum alone.
+    assert stats.decoded_fraction < 0.12, (
         f"pruning too weak: {100 * stats.decoded_fraction:.1f}% of "
-        f"candidates decoded per query"
+        f"candidates refined per query"
     )
     mean = benchmark.stats.stats.mean
     benchmark.extra_info["n_queries"] = N_QUERIES

@@ -9,7 +9,9 @@ store without decoding it wholesale.
 
 :mod:`repro.query.distance`
     Vectorized MINDIST-style lower-bound kernels over any breakpoint table
-    (:meth:`LookupTable.breakpoints` or the SAX Gaussian breakpoints).
+    (:meth:`LookupTable.breakpoints` or the SAX Gaussian breakpoints), and
+    the kNN engine's two histogram bounds: the banded minimum and the band
+    transport bound.
 
 :mod:`repro.query.index`
     The ``.rsymx`` sidecar (:class:`QueryIndex`): per-column banded symbol
@@ -47,6 +49,7 @@ from .distance import (
     cell_bounds,
     histogram_bound,
     mindist,
+    transport_bound,
     value_cell_bounds,
 )
 from .engine import (
@@ -124,6 +127,7 @@ __all__ = [
     "mindist",
     "query_index_path",
     "resolve_shared_table",
+    "transport_bound",
     "value_cell_bounds",
     "write_query_index",
 ]

@@ -31,20 +31,29 @@ All kernels are pure array transforms over a breakpoint vector:
     The kNN engine's index tier: per-band minima of a query's squared cells
     against reconstruction values, and one matrix product of those minima
     with the ``.rsymx`` band histograms that lower-bounds every candidate
-    at once.  Exact distances of the candidates that survive are scored
-    by the refine kernel in :mod:`repro.query.ops` (``_knn_block``), not
-    here.
+    at once.
 
-The bounds hold against the decoded reconstruction values whenever each
-symbol's reconstruction value lies inside its range, which is true for
-tables fit on the paper's non-negative power data and for
+:func:`transport_bound`
+    The kNN engine's transport tier: the same band histograms, bounded by
+    the cheapest (sorted) pairing of each band's query values with a
+    candidate's reconstruction values — the 1-D earth mover's distance —
+    with a derived float-rounding allowance.  kNN computes it only for
+    each query's frontier.  Exact distances of the candidates that survive
+    are scored by the refine kernel in :mod:`repro.query.ops`
+    (``_knn_block``), not here.
+
+The symbol-range bounds (:func:`cell_bounds`, :func:`mindist`,
+:func:`value_cell_bounds`) hold against the decoded reconstruction values
+whenever each symbol's reconstruction value lies inside its range, which is
+true for tables fit on the paper's non-negative power data and for
 :meth:`LookupTable.from_breakpoints` tables (property-tested across alphabet
-sizes in ``tests/query/``).
+sizes in ``tests/query/``).  The two histogram bounds use the
+reconstruction values themselves and hold for any table.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +67,7 @@ __all__ = [
     "value_cell_bounds",
     "banded_min_cells",
     "histogram_bound",
+    "transport_bound",
 ]
 
 
@@ -151,11 +161,10 @@ def value_cell_bounds(
 
 # -- batched kNN kernels -----------------------------------------------------------
 #
-# The kNN engine's hot loop is built from the three kernels below: per-band
-# minima of the query's squared cells (the index-tier bound), one matrix
-# product bounding every (query, candidate) pair at once, and the exact
-# refinement distances — gathered off decoded symbols, or scored run by run
-# straight off an RLE payload.
+# The kNN engine's bounds are the kernels below: per-band minima of the
+# query's squared cells and one matrix product bounding every (query,
+# candidate) pair at once (the index tier), and the band transport bound
+# for each query's frontier (the transport tier).
 
 
 def banded_min_cells(
@@ -254,3 +263,152 @@ def histogram_bound(
         )
     out = mins.reshape(mins.shape[0], -1) @ hist.reshape(hist.shape[0], -1).T
     return out[0] if squeeze else out
+
+
+#: Pair x term elements per :func:`transport_bound` gather (~8 MB of intp
+#: indices), so a wide frontier costs memory in chunks, not all at once.
+_TRANSPORT_ELEMENTS = 1 << 20
+
+
+def transport_bound(
+    values: np.ndarray,
+    bands: np.ndarray,
+    n_bands: int,
+    reconstruction: np.ndarray,
+    band_histograms: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    cols: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bound, allowance)``: the band transport bound and its rounding margin.
+
+    Inside a band, a candidate's windows hold a multiset of reconstruction
+    values (its band histogram), and its squared distance to the query pairs
+    each query value of the band with one of them.  The cheapest pairing is
+    the sorted one, the 1-D earth mover's distance (Rubner, Tomasi &
+    Guibas, IJCV 2000), so with each band's sorted query values prefix-summed
+    into ``S_b`` and the candidate's cumulative counts ``e[b, s]`` (symbols
+    in reconstruction order ``r``)::
+
+        sum_t (x_t - r[k-1])^2
+          + sum_b sum_{s<k-1} (r[s] - r[s+1]) * (e[b, s] * (r[s] + r[s+1])
+                                                 - 2 * S_b[e[b, s]])
+
+    is a lower bound on the squared distance at least as tight as
+    :func:`histogram_bound`, at ``n_bands * (k - 1)`` lookups a pair.
+
+    ``values`` is ``(Q, T)`` (or one ``(T,)`` vector), ``bands`` assigns the
+    ``T`` positions to ``n_bands`` bands exactly as the histograms were
+    folded, and ``band_histograms`` is ``(C, n_bands, k)``.  Returns ``(Q,
+    C)`` arrays (``(C,)`` for one vector), or ``(P,)`` for the pairs
+    ``(rows[p], cols[p])`` when both are given.
+
+    ``allowance`` bounds the float rounding of ``bound``:
+    ``2 * (T + n_bands * k) * eps`` times the magnitudes of its terms
+    (``sum_t (x_t - r[k-1])^2``, ``sum |e * (r[s]^2 - r[s+1]^2)|`` and
+    ``2 * sum_s |r[s] - r[s+1]| * sum_t |x_t|``).  Each of those terms
+    carries a relative error of at most ``gamma_n = n*u / (1 - n*u)``
+    (``u = eps / 2``), ``n`` being its summation length plus a few
+    operations, the longest being the ``T``-term sum and a band's prefix
+    sum followed by the ``n_bands * k``-term sum over the pair's terms; the
+    margin is twice ``gamma_{T + n_bands*k + 8}``.  So ``bound -
+    allowance`` never exceeds the exact transport cost, hence never the
+    exact squared distance.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None]
+    hist = np.asarray(band_histograms)
+    recon = np.asarray(reconstruction, dtype=np.float64).ravel()
+    n_bands = int(n_bands)
+    bands = np.asarray(bands, dtype=np.int64)
+    if x.ndim != 2 or hist.ndim != 3:
+        raise QueryError(
+            f"expected (Q, T) values and (C, bands, k) histograms, got "
+            f"{np.shape(values)} and {np.shape(band_histograms)}"
+        )
+    if hist.shape[1:] != (n_bands, recon.size):
+        raise QueryError(
+            f"histograms of shape {hist.shape[1:]} do not match {n_bands} "
+            f"bands of {recon.size} symbols"
+        )
+    if bands.shape != (x.shape[1],):
+        raise QueryError(
+            f"bands must have one entry per position, got {bands.shape} "
+            f"for {x.shape[1]} positions"
+        )
+    if bands.size and (bands.min() < 0 or bands.max() >= n_bands):
+        raise QueryError(f"band labels out of range [0, {n_bands})")
+    pairs = rows is not None
+    if pairs:
+        # Only the paired candidates' counts are read.
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        used, cols = np.unique(
+            np.asarray(cols, dtype=np.intp).ravel(), return_inverse=True
+        )
+        hist = hist[used]
+    else:
+        shape = (x.shape[0], hist.shape[0])
+        rows = np.repeat(np.arange(shape[0]), shape[1])
+        cols = np.tile(np.arange(shape[1]), shape[0])
+    T, k = x.shape[1], recon.size
+    # Symbols in reconstruction order: the sorted pairing hands a band's
+    # smallest query values to its lowest reconstruction values.
+    rank = np.argsort(recon, kind="stable")
+    r = recon[rank]
+    step = r[:-1] - r[1:]                            # (k-1,), <= 0
+    # Candidate side: cumulative counts in that order, one product with a
+    # 0/1 matrix (exact: every partial sum is a small integer), whose last
+    # column must be each band's window count.
+    sizes = np.bincount(bands, minlength=n_bands)
+    after = np.empty(k, dtype=np.intp)
+    after[rank] = np.arange(k)
+    upto = (after[:, None] <= np.arange(k)[None, :]).astype(np.float64)
+    cumulative = (hist.reshape(-1, k) @ upto).reshape(hist.shape)
+    if np.any(cumulative[:, :, -1] != sizes):
+        raise QueryError(
+            "band histograms must count each band's windows exactly once "
+            f"({sizes.tolist()} windows per band)"
+        )
+    terms = n_bands * (k - 1)
+    counts = cumulative[:, :, :-1].reshape(hist.shape[0], terms)
+    # The query-free term and its magnitude.  einsum sums each row on its
+    # own, so a pair's bound does not depend on which other pairs share the
+    # call (a BLAS mat-vec's can).
+    weights = np.tile(step * (r[:-1] + r[1:]), n_bands)   # r[s]^2 - r[s+1]^2
+    own = np.einsum("ct,t->c", counts, weights)
+    own_size = np.einsum("ct,t->c", counts, np.abs(weights))
+    # Query side: each band's values sorted and prefix-summed, in a
+    # (Q, n_bands, longest band + 1) grid; a shorter band pads with +inf,
+    # which sorts last and sits past every count that looks it up.
+    width = int(sizes.max(initial=0)) + 1
+    by_band = np.argsort(bands, kind="stable")
+    slot = np.arange(T) - (np.cumsum(sizes) - sizes)[bands[by_band]]
+    source = np.full(n_bands * (width - 1), T)       # T: the +inf column
+    source[bands[by_band] * (width - 1) + slot] = by_band
+    padded = np.concatenate([x, np.full((x.shape[0], 1), np.inf)], axis=1)
+    grid = padded.take(source, axis=1).reshape(x.shape[0], n_bands, width - 1)
+    grid.sort(axis=2)
+    prefix = np.zeros((x.shape[0], n_bands, width))
+    np.cumsum(grid, axis=2, out=prefix[:, :, 1:])
+    base = ((x - r[-1]) ** 2).sum(axis=1)            # (Q,)
+    spread = 2.0 * np.abs(step).sum() * np.abs(x).sum(axis=1)
+    # A pair's lookups: its candidate's counts as offsets into the grid.
+    lookups = counts.astype(np.intp) + np.repeat(np.arange(n_bands) * width, k - 1)
+    cross = np.empty(rows.size)
+    flat_prefix = prefix.ravel()
+    step_terms = np.tile(step, n_bands)
+    chunk = max(1, _TRANSPORT_ELEMENTS // max(1, terms))
+    for p0 in range(0, rows.size, chunk):
+        r0, c0 = rows[p0: p0 + chunk], cols[p0: p0 + chunk]
+        flat = lookups[c0] + (r0 * (n_bands * width))[:, None]
+        cross[p0: p0 + chunk] = np.einsum(
+            "pt,t->p", flat_prefix.take(flat), step_terms
+        )
+    bound = base[rows] + own[cols] - 2.0 * cross
+    size = base[rows] + own_size[cols] + spread[rows]
+    allowance = 2.0 * (T + n_bands * k) * np.finfo(np.float64).eps * size
+    if pairs:
+        return bound, allowance
+    bound, allowance = bound.reshape(shape), allowance.reshape(shape)
+    return (bound[0], allowance[0]) if squeeze else (bound, allowance)

@@ -6,20 +6,29 @@ kNN search is *exact* — results are bit-identical to brute force, pinned by
 ``tests/query/test_knn.py`` — but it touches as few payload bytes as it can:
 
 1. **Index tier** — the :class:`~repro.query.index.QueryIndex` histograms
-   give a position-free lower bound on every candidate's distance with one
-   matrix product per query batch (``minpos @ hist.T``): each window with
-   symbol ``s`` contributes at least ``min_t bound(q_t, s)^2``.  No payload
-   bytes are read.
-2. **Refine tier** — candidates are visited in lower-bound order in small
+   give a lower bound on every candidate's distance with one matrix
+   product per query batch (``minpos @ hist.T``): each window with symbol
+   ``s`` in band ``b`` contributes at least ``min_{t in b} (q_t -
+   r_s)^2``.  Candidates are visited in the order of this bound.  No
+   payload bytes are read.
+2. **Transport tier** — once a query has its first k-th distance, its
+   frontier (the candidates whose bound is within it) is bounded again by
+   the same histograms, tighter: inside a band the cheapest pairing of the
+   query's values with a candidate's reconstruction values is the sorted
+   one (:func:`~repro.query.distance.transport_bound`, ``n_bands * (k -
+   1)`` lookups a pair), less a derived rounding allowance.  The frontier
+   re-sorts by the larger of the two bounds.  Still no payload bytes.
+3. **Refine tier** — candidates are visited in that order in small
    rounds, their exact distances (query vs. decoded reconstruction values)
-   computed with one gather a round.  The scan stops when the best unseen
-   lower bound exceeds the current k-th distance — with a one-sided
-   ``1 + 1e-9`` safety margin so float rounding in the bound can only
-   cause extra refinement, never a missed neighbour.  Columns are decoded
-   ahead of the rounds: a block of queries reads the store at most twice,
-   once for the rounds that find each query's first k-th distance and once
-   for every candidate a later round can still refine (the k-th distance
-   only shrinks), and each read decodes once across the store's segments.
+   computed with one gather a round, and a round scores only candidates
+   whose bound is within the current k-th distance.  The scan stops at
+   the first bound beyond it — with a one-sided ``1 + 1e-9`` safety margin
+   so float rounding in a bound can only cause extra refinement, never a
+   missed neighbour.  Columns are decoded ahead of the rounds: a block of
+   queries reads the store at most twice, once for the rounds that find
+   each query's first k-th distance and once for every frontier candidate
+   the transport tier kept (the k-th distance only shrinks), and each read
+   decodes once across the store's segments.
 
 Distances are Euclidean between the raw query vector and each column's
 *reconstruction* (what ``SymbolStore.decode`` returns) — the only real-valued
@@ -177,12 +186,12 @@ class KNNStats:
 
     @property
     def refined_per_query(self) -> float:
-        """Mean candidates exact-refined (columns decoded) per query."""
+        """Mean exact distances computed per query."""
         return self.refined / self.n_queries if self.n_queries else 0.0
 
     @property
     def decoded_fraction(self) -> float:
-        """Fraction of candidate columns decoded per query (1.0 = brute force)."""
+        """Fraction of candidates refined per query (1.0 = brute force)."""
         total = self.n_queries * self.n_candidates
         return self.refined / total if total else 0.0
 

@@ -12,12 +12,13 @@ Bands fold the column by the store's ``windows_per_day`` metadata when it is
 available (band = time of day), falling back to contiguous segments: smart
 meter days sweep low→high levels, so an unbanded histogram would let every
 symbol sit near *some* query value and bound nothing — folding by time of
-day is what makes the bound bite (the benchmark pins < 25% of candidates
-decoded per query).  Pattern matching uses the band-summed histograms to
-skip columns that lack a pattern's symbols entirely.  Aggregates read the
-histograms, peaks and run counts (a run that continues across a segment
-boundary counts once); the last symbols let a reload add an append's runs
-without decoding the windows before it.
+day is what makes the bound bite.  The same histograms give kNN the
+tighter band transport bound for each query's frontier (the benchmark pins
+< 12 % of candidates decoded per query).  Pattern matching uses the
+band-summed histograms to skip columns that lack a pattern's symbols
+entirely.  Aggregates read the histograms, peaks and run counts (a run
+that continues across a segment boundary counts once); the last symbols
+let a reload add an append's runs without decoding the windows before it.
 
 On-disk layout (format version 2) mirrors the ``.rsym`` format
 (little-endian, JSON trailer)::

@@ -44,7 +44,7 @@ from ..obs import registry as _obs_registry, tracer as _obs_tracer
 from ..pipeline.stages import RLERuns
 from ..store.format import RLE, _Segment
 from ..store.packing import symbol_dtype
-from .distance import banded_min_cells, histogram_bound
+from .distance import banded_min_cells, histogram_bound, transport_bound
 from .index import QueryIndex, _shard_stats
 from .patterns import PatternMatches, SymbolPattern, match_runs
 from .verbs import PrivateAggParams
@@ -86,10 +86,13 @@ _GATHER_ELEMENTS = 1 << 20
 def resolve_shared_table(store) -> LookupTable:
     """The one table all of ``store``'s columns share, or a loud refusal.
 
-    Per-column and by-label table sets collapse to a single table when all
-    entries are equal (the re-normalisation path); genuinely distinct tables
-    raise :class:`QueryError` because cross-column symbol distances would be
-    meaningless.
+    Per-column and by-label table sets, and the tables of a store's
+    segments, collapse to a single table when all entries are equal (the
+    re-normalisation path); genuinely distinct tables raise
+    :class:`QueryError`, naming how many, because cross-column symbol
+    distances would be meaningless.  Segments that each carry one shared
+    table but disagree are table epochs (a drift rebuild), not per-meter
+    tables, and the refusal says so.
     """
     tables = store.tables
     if tables is None:
@@ -105,8 +108,21 @@ def resolve_shared_table(store) -> LookupTable:
     head = pool[0]
     if all(table == head for table in pool[1:]):
         return head
+    distinct = len({
+        (t.size, tuple(t.separators), tuple(t.reconstruction_values))
+        for t in pool
+    })
+    if all(isinstance(seg.tables, LookupTable) for seg in store.segments):
+        raise QueryError(
+            f"{store.path.name} carries {distinct} table epochs: its segments "
+            "were encoded under different shared tables, so the same symbol "
+            "index maps to different watt ranges in different segments and "
+            "distances across them would be nonsense. Distance queries need "
+            "one table across the store; re-encode it under one shared table "
+            "to make it searchable."
+        )
     raise QueryError(
-        f"{store.path.name} carries {len(pool)} distinct per-meter lookup "
+        f"{store.path.name} carries {distinct} distinct per-meter lookup "
         "tables: the same symbol index maps to different watt ranges on "
         "different columns, so cross-column distances would be nonsense. "
         "Re-encode the fleet with a shared table "
@@ -356,6 +372,48 @@ class SymbolCountPrune:
 # -- kNN -----------------------------------------------------------------------
 
 
+def _transport_frontier(
+    order: np.ndarray,
+    lb_sorted: np.ndarray,
+    active: np.ndarray,
+    at: int,
+    limit: np.ndarray,
+    block: np.ndarray,
+    bands: np.ndarray,
+    n_bands: int,
+    recon: np.ndarray,
+    counted: np.ndarray,
+) -> None:
+    """Tighten each active query's frontier bounds to the band transport
+    bound, in place.
+
+    Query ``q``'s frontier is its ranks from ``at`` whose bound is within
+    ``limit``; each takes ``max(bound, transport - allowance)``
+    (:func:`transport_bound`, still a lower bound on the squared distance),
+    and the frontier re-sorts by it.  Every rank past the frontier is
+    beyond the limit already, so the ranks within any limit up to
+    ``limit`` stay a prefix of each row.
+    """
+    inside = np.sum(lb_sorted[active, at:] <= limit[:, None], axis=1)
+    width = int(inside.max(initial=0))
+    if not width:
+        return
+    window = at + np.arange(width)
+    rows, offsets = np.nonzero(np.arange(width)[None, :] < inside[:, None])
+    pair_queries = active[rows]
+    bound, allowance = transport_bound(
+        block, bands, n_bands, recon, counted,
+        rows=pair_queries, cols=order[pair_queries, at + offsets],
+    )
+    keys = lb_sorted[active[:, None], window]
+    keys[rows, offsets] = np.maximum(keys[rows, offsets], bound - allowance)
+    resort = np.argsort(keys, axis=1, kind="stable")
+    lb_sorted[active[:, None], window] = np.take_along_axis(keys, resort, axis=1)
+    order[active[:, None], window] = np.take_along_axis(
+        order[active[:, None], window], resort, axis=1
+    )
+
+
 def _knn_block(
     source: ColumnSource,
     index: Optional[QueryIndex],
@@ -367,7 +425,8 @@ def _knn_block(
     """Serial kNN for one block of queries; the unit a shard executes.
 
     Returns ``(positions, distances, refined)`` with ``positions`` of shape
-    ``(len(queries), kk)`` where ``kk = min(k, candidates)``.
+    ``(len(queries), kk)`` where ``kk = min(k, candidates)`` and
+    ``refined`` the number of exact distances computed.
 
     Queries are processed ``_QUERY_BLOCK`` at a time: the squared cells of
     the whole sub-block are built with one broadcast, their lower bounds
@@ -375,11 +434,15 @@ def _knn_block(
     the block reads the store at most twice — once for the rounds that
     find each query's first k-th distance, once for every candidate a
     later round can still refine — each read one ``source.matrix`` call
-    that decodes once across the store's segments.  Refine rounds then
-    score columns already held.  Neighbours and distances are
-    bit-identical for every block split — the bound's last-ulp rounding
-    can only move work between the pruned and refined sets, never change
-    an exact distance.
+    that decodes once across the store's segments.  Just before the second
+    read, each query's frontier (the candidates whose bound is within its
+    first k-th distance) tightens to the band transport bound
+    (:func:`transport_bound`) and re-sorts by it, and only the candidates
+    still within the limit are read.  Refine rounds then score, of the
+    columns already held, only those whose bound is within the current
+    k-th distance.  Neighbours and distances are bit-identical for every
+    block split — the bounds' last-ulp rounding can only move work between
+    the pruned and refined sets, never change an exact distance.
     """
     # Local import: plan.py imports operators from this module, so the
     # deadline hook cannot live at module scope without a cycle.
@@ -432,10 +495,9 @@ def _knn_block(
 
     if index is not None:
         bands = index.bands_for(T)
-        banded = (
-            index.float_histograms if candidates.size == index.n_meters
-            else index.band_histograms[candidates]
-        )
+        whole = candidates.size == index.n_meters
+        counted = index.band_histograms if whole else index.band_histograms[candidates]
+        banded = index.float_histograms if whole else counted
     for b0 in range(0, queries.shape[0], _QUERY_BLOCK):
         check_deadline(b0, queries.shape[0])
         block = queries[b0: b0 + _QUERY_BLOCK]
@@ -453,21 +515,22 @@ def _knn_block(
         order = np.argsort(lb_block, axis=1, kind="stable")
         lb_sorted = np.take_along_axis(lb_block, order, axis=1)
         # Refine rounds run for all still-active queries at once.  Every
-        # active query has refined exactly ``at`` candidates (its first
-        # ``at`` in lower-bound order), so one decode + one flat gather +
-        # one batched partition advance the whole sub-block a round.
+        # active query has passed the first ``at`` ranks of its order, so
+        # one decode + one flat gather + one batched partition advance the
+        # whole sub-block a round.
         d2_sorted = np.empty((n_block, C), dtype=np.float64)
         kth2 = np.full(n_block, np.inf)
         n_refined = np.zeros(n_block, dtype=np.int64)
         active = np.arange(n_block)
         # The block reads the store at most twice.  The first read covers
         # every round before each query has a k-th distance: those rounds
-        # prune nothing.  The second covers every candidate a later round
-        # can still refine (multi-step kNN, Seidl & Kriegel, SIGMOD 1998):
-        # a round at ``at`` runs only while ``lb_sorted[q, at]`` is within
-        # the k-th distance, which only shrinks, so the ranks up to the last
-        # bound within the first k-th distance, rounded up to a round
-        # boundary, hold every column a later round will score.
+        # prune nothing.  The second, the frontier read, covers every
+        # candidate a later round can still refine (multi-step kNN, Seidl &
+        # Kriegel, SIGMOD 1998): a later round scores only ranks whose bound
+        # is within the k-th distance, which only shrinks, so the ranks
+        # whose bound is within the first k-th distance hold them all.
+        # Before that read, the frontier's bounds tighten to the band
+        # transport bound and the frontier re-sorts by it.
         fill(order[:, : min(C, -(-kk // refine_chunk) * refine_chunk)])
         frontier_read = False
         at = 0
@@ -475,46 +538,50 @@ def _knn_block(
             # Refine rounds are the expensive inner loop: even a one-query
             # plan notices expiry between rounds, not only between blocks.
             check_deadline(b0, queries.shape[0])
-            if at >= kk:
+            hi = min(at + refine_chunk, C)
+            if at < kk:
+                scored = np.ones((active.size, hi - at), dtype=bool)
+            else:
                 limit = kth2[active] * (1.0 + _PRUNE_SLACK)
-                still = lb_sorted[active, at] <= limit
-                active, limit = active[still], limit[still]
+                if not frontier_read:
+                    if index is not None:
+                        _transport_frontier(
+                            order, lb_sorted, active, at, limit, block,
+                            bands, index.n_bands, recon, counted,
+                        )
+                    inside = lb_sorted[active, at:] <= limit[:, None]
+                    fill(order[active, at:][inside])
+                    frontier_read = True
+                # Sorted ranks within the limit are a prefix of each row: a
+                # query whose round stops short is done after it.
+                scored = lb_sorted[active, at:hi] <= limit[:, None]
+                still = scored[:, 0]
+                active, scored = active[still], scored[still]
                 if not active.size:
                     break
-                if not frontier_read:
-                    inside = np.sum(lb_sorted[active] <= limit[:, None], axis=1)
-                    rounds = -(-(inside - at) // refine_chunk)
-                    stop = np.minimum(at + rounds * refine_chunk, C)
-                    fill(order[active, at:][
-                        np.arange(C - at)[None, :] < (stop - at)[:, None]
-                    ])
-                    frontier_read = True
-            hi = min(at + refine_chunk, C)
             rounds_total += 1
-            ranks = order[active, at:hi]                      # (A, chunk)
-            # One flat gather scores every (query, candidate) of the round:
-            # cells[q, t, s] lives at offset q*T*k + t*k + s, and the
-            # per-(candidate, T) pairwise sum matches the serial form bit
-            # for bit.  Large rounds (brute force refines every candidate
-            # at once) run in query segments so the gather temporaries stay
-            # a few MB instead of scaling with queries * candidates.
-            d2 = np.empty(ranks.shape, dtype=np.float64)
-            segment = max(1, _GATHER_ELEMENTS // max(1, ranks.shape[1] * T))
+            rows, offsets = np.nonzero(scored)
+            pair_queries = active[rows]
+            ranks = order[pair_queries, at + offsets]
             fill(ranks)                       # a no-op once the frontier is read
-            for s0 in range(0, active.size, segment):
-                sub = active[s0: s0 + segment]
-                sub_ranks = ranks[s0: s0 + segment]
-                matrix = decoded[sub_ranks.ravel()]
+            # One flat gather scores every (query, candidate) pair of the
+            # round: cells[q, t, s] lives at offset q*T*k + t*k + s, and the
+            # per-pair sum over T matches the serial form bit for bit.
+            # Large rounds (brute force refines every candidate at once) run
+            # in pair segments so the gather temporaries stay a few MB
+            # instead of scaling with queries * candidates.
+            d2 = np.empty(ranks.size, dtype=np.float64)
+            segment = max(1, _GATHER_ELEMENTS // T)
+            for s0 in range(0, ranks.size, segment):
                 flat = (
-                    sub[:, None, None] * (T * recon.size)
-                    + t_base[None, None, :]
-                    + matrix.reshape(sub_ranks.shape + (T,))
+                    pair_queries[s0: s0 + segment, None] * (T * recon.size)
+                    + t_base[None, :]
+                    + decoded[ranks[s0: s0 + segment]]
                 )
-                d2[s0: s0 + segment] = block_cells.take(
-                    flat.ravel()
-                ).reshape(flat.shape).sum(axis=2)
-            d2_sorted[active, at:hi] = d2
-            n_refined[active] = hi
+                d2[s0: s0 + segment] = block_cells.take(flat).sum(axis=1)
+            d2_sorted[active, at:hi] = np.inf
+            d2_sorted[pair_queries, at + offsets] = d2
+            n_refined[active] = at + scored.sum(axis=1)
             if hi >= kk:
                 kth2[active] = np.partition(
                     d2_sorted[active, :hi], kk - 1, axis=1

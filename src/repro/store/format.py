@@ -758,23 +758,6 @@ class _Segment:
             detail={"column": int(index), "id": self.ids[index]},
         )
 
-    def _verify_columns(self, columns: Sequence[int]) -> None:
-        """Check (and cache) the CRC32C of the given columns; raise on damage.
-
-        One mask lookup finds whether any column is still pending, so a read
-        of verified columns pays no checksum work; pending ones go through
-        :func:`_check_columns` in row-batched :func:`crc32c_rows` calls.
-        """
-        if self._all_verified:
-            return
-        requested = np.asarray(columns, dtype=np.int64)
-        if self._verified[requested].all():
-            return
-        bad = _check_columns([(self, requested)])
-        if bad:
-            _, column, actual = bad[0]
-            raise self._corrupt_column(column, int(self._column_crcs[column]), actual)
-
     def _verify_lengths(self) -> None:
         """Check the RLE run-length array's CRC32C (once)."""
         if self._lengths_crc is None or self._lengths_verified:
@@ -836,7 +819,7 @@ class _Segment:
             return RLERuns.from_matrix(self.matrix(columns=cols))
         if self._verify_mode != "off":
             self._verify_lengths()
-            self._verify_columns(cols)
+        _verify_pieces([(self, cols)])
         symbols = unpack_columns(
             self._payload, self.offsets[cols] * 8, widths, self.bits_per_symbol
         )
@@ -898,10 +881,8 @@ class _Segment:
     def _packed_window(
         self, cols: np.ndarray, first_byte: int, nbytes: int
     ) -> np.ndarray:
-        """:meth:`_rows` of checksum-verified columns: a dense segment's
-        share of a :func:`read_spans` read."""
-        if self._verify_mode != "off":
-            self._verify_columns(cols)
+        """:meth:`_rows` for a dense segment's share of a :func:`read_spans`
+        read, whose checksums :func:`read_spans` has verified first."""
         return self._rows(cols, first_byte, nbytes)
 
     def _expand(self, cols: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -956,13 +937,16 @@ def read_spans(
     """Symbols of column positions ``cols`` over ``spans`` as one matrix.
 
     ``spans`` are ``(segment, lo, hi)`` window ranges, concatenated left to
-    right.  Each dense segment gathers the packed bytes of the columns'
-    window (checksums verified first), the gathers of each run of
-    consecutive segments whose windows have the same shape stack into one
-    buffer, and that buffer decodes with one :func:`unpack_slice` call: a
-    read across many segments costs one kernel call, not one per segment.
-    RLE segments expand their stored runs.
+    right.  The columns' unverified checksums in every dense segment are
+    checked first, in one :func:`_check_columns` pass pooled across the
+    segments.  Each dense segment then gathers the packed bytes of the
+    columns' window, the gathers of each run of consecutive segments whose
+    windows have the same shape stack into one buffer, and that buffer
+    decodes with one :func:`unpack_slice` call: a read across many segments
+    costs one kernel call, not one per segment.  RLE segments expand their
+    stored runs.
     """
+    _verify_pieces([(seg, cols) for seg, _, _ in spans if seg.layout != RLE])
     parts = []
     for shape, group in groupby(spans, key=_window_shape):
         group = list(group)
@@ -982,6 +966,31 @@ def read_spans(
         symbols = unpack_slice(packed, bits, lead, lead + count)
         parts.append(symbols.reshape(cols.size, len(group) * count))
     return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+
+def _verify_pieces(pieces: Sequence[Tuple[_Segment, np.ndarray]]) -> None:
+    """Check the unverified checksums of ``(segment, columns)`` pieces in one
+    :func:`_check_columns` pass; raise on damage.
+
+    One mask lookup per piece finds whether any column is still pending, so
+    a read of verified columns (or of a segment opened with ``verify="off"``)
+    pays no checksum work.  The first damaged column, lowest piece first,
+    then lowest column, raises its :class:`~repro.errors.CorruptStoreError`.
+    """
+    pending = [
+        (segment, columns) for segment, columns in pieces
+        if segment._verify_mode != "off" and not segment._all_verified
+        and not segment._verified[columns].all()
+    ]
+    if not pending:
+        return
+    bad = _check_columns(pending)
+    if bad:
+        piece, column, actual = bad[0]
+        segment = pending[piece][0]
+        raise segment._corrupt_column(
+            column, int(segment._column_crcs[column]), actual
+        )
 
 
 def _window_shape(span: Tuple[_Segment, int, int]) -> Optional[Tuple[int, int, int]]:

@@ -631,7 +631,7 @@ class SymbolStore:
         """First segment's tables if all agree, else the flattened pool.
 
         A drifted store (different table epochs per segment) returns the
-        pool, which :func:`~repro.query.engine.resolve_shared_table` then
+        pool, which :func:`~repro.query.ops.resolve_shared_table` then
         collapses when all entries are equal and loudly refuses otherwise.
         """
         pools = [seg.tables for seg in self._segments]

@@ -23,8 +23,11 @@ from repro.query import (
     cell_bounds,
     histogram_bound,
     mindist,
+    transport_bound,
     value_cell_bounds,
 )
+from repro.query.index import band_of_windows
+from repro.query.ops import _PRUNE_SLACK
 
 ALPHABETS = [2, 4, 8, 16, 27, 32]
 POWER_ALPHABETS = [2, 4, 8, 16, 32]
@@ -242,3 +245,95 @@ class TestHistogramBound:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(QueryError, match="disagree"):
             histogram_bound(np.zeros((2, 3, 4)), np.zeros((5, 3, 5)))
+
+
+def _banded_store(rng, alphabet_size, length, n_bands, per_day, scale):
+    """``(reconstruction, bands, symbols, histograms)`` of a random store.
+
+    Reconstruction values sit at ``scale`` (with ties when the alphabet is
+    large), every third column is constant, and the band histograms fold
+    by ``band_of_windows`` as the index builds them.
+    """
+    recon = np.sort(np.round(scale * rng.lognormal(0.0, 1.0, alphabet_size), 2))
+    bands = band_of_windows(length, n_bands, per_day)
+    symbols = rng.integers(0, alphabet_size, size=(12, length))
+    symbols[::3] = symbols[::3, :1]
+    hist = np.zeros((symbols.shape[0], n_bands, alphabet_size), dtype=np.int64)
+    for column, row in enumerate(symbols):
+        np.add.at(hist[column], (bands, row), 1)
+    return recon, bands, symbols, hist
+
+
+def _sorted_blocks(query, symbols, bands, recon):
+    """The band transport cost the direct way: each band's sorted query
+    values handed to the column's reconstruction values in sorted blocks."""
+    total = 0.0
+    for band in np.unique(bands):
+        at = bands == band
+        total += float(((np.sort(query[at]) - np.sort(recon[symbols[at]])) ** 2).sum())
+    return total
+
+
+class TestTransportBound:
+    """The band transport bound: below every exact distance after its
+    rounding allowance, and never looser than the banded minimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alphabet_size=st.integers(min_value=2, max_value=32),
+        length=st.integers(min_value=1, max_value=400),
+        n_bands=st.integers(min_value=1, max_value=8),
+        per_day=st.sampled_from([None, 7, 24, 96]),
+        exponent=st.floats(min_value=-3.0, max_value=6.0),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_property(self, alphabet_size, length, n_bands, per_day,
+                      exponent, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        recon, bands, symbols, hist = _banded_store(
+            rng, alphabet_size, length, n_bands, per_day, scale
+        )
+        queries = scale * rng.lognormal(0.0, 1.0, size=(8, length))
+        queries[0] = recon[symbols[1]]        # distance 0 to column 1
+        queries[1] = recon[symbols[3]]        # ... and to a constant column
+        bound, allowance = transport_bound(queries, bands, n_bands, recon, hist)
+        cells = (queries[:, :, None] - recon[None, None, :]) ** 2
+        exact = ((queries[:, None, :] - recon[symbols][None]) ** 2).sum(axis=2)
+        minimum = histogram_bound(banded_min_cells(cells, bands, n_bands), hist)
+        assert np.all(bound - allowance <= exact * (1.0 + _PRUNE_SLACK))
+        assert np.all(bound >= minimum - allowance)
+        assert bound[0, 1] - allowance[0, 1] <= 0.0
+
+    def test_equals_the_sorted_assignment(self, rng):
+        """Unequal bands (T not a multiple of the day) and an unsorted
+        reconstruction order: the kernel is the direct sorted pairing."""
+        recon, bands, symbols, hist = _banded_store(rng, 16, 250, 8, 96, 300.0)
+        recon = rng.permutation(recon)
+        queries = 300.0 * rng.lognormal(0.0, 1.0, size=(4, 250))
+        bound, allowance = transport_bound(queries, bands, 8, recon, hist)
+        direct = np.array([
+            [_sorted_blocks(q, row, bands, recon) for row in symbols]
+            for q in queries
+        ])
+        assert np.all(np.abs(bound - direct) <= allowance)
+        assert np.all(allowance <= 1e-9 * np.maximum(direct, 1.0))
+
+    def test_pairs_match_the_grid(self, rng):
+        recon, bands, symbols, hist = _banded_store(rng, 8, 96, 4, None, 1.0)
+        queries = rng.lognormal(0.0, 1.0, size=(3, 96))
+        grid, grid_allowance = transport_bound(queries, bands, 4, recon, hist)
+        rows, cols = np.array([2, 0, 2, 1]), np.array([5, 5, 0, 11])
+        pairs, allowance = transport_bound(
+            queries, bands, 4, recon, hist, rows=rows, cols=cols
+        )
+        np.testing.assert_array_equal(pairs, grid[rows, cols])
+        np.testing.assert_array_equal(allowance, grid_allowance[rows, cols])
+        one, _ = transport_bound(queries[1], bands, 4, recon, hist)
+        np.testing.assert_array_equal(one, grid[1])
+
+    def test_histograms_must_count_every_window_once(self, rng):
+        recon, bands, _, hist = _banded_store(rng, 8, 96, 4, 24, 1.0)
+        hist[0, 0, 0] += 1
+        with pytest.raises(QueryError, match="exactly once"):
+            transport_bound(np.ones(96), bands, 4, recon, hist)

@@ -8,7 +8,8 @@ the pruned path, brute force and the unindexed scan, and check that only
 *when* columns are decoded changed: neighbours equal brute force, and the
 refined count, the span's ``refine_rounds`` and the
 ``query.refine_rounds_total`` delta equal a per-query serial model of the
-refine loop (bound order, round size and cutoff).
+refine loop (bound order, the frontier's transport bound, round size and
+cutoff).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from repro.obs import disable_tracing, enable_tracing, registry, span, tracer
 from repro.query import QueryConfig, QueryEngine, write_query_index
-from repro.query.distance import banded_min_cells, histogram_bound
+from repro.query.distance import banded_min_cells, histogram_bound, transport_bound
 from repro.query.ops import _PRUNE_SLACK
 from repro.store import write_segmented_fleet
 from repro.store.format import _Segment
@@ -82,12 +83,28 @@ def _walk(root):
         yield from _walk(child)
 
 
+def _transport(query, symbols, bands, recon):
+    """The band transport cost, the direct way: each band's query values,
+    sorted, handed to the column's reconstruction values in sorted blocks,
+    and the squared gaps summed."""
+    total = 0.0
+    for band in np.unique(bands):
+        at = bands == band
+        gaps = np.sort(query[at]) - np.sort(recon[symbols[at]])
+        total += float((gaps ** 2).sum())
+    return total
+
+
 def _serial_model(engine, queries, k, chunk, use_index):
     """``(refined, rounds)`` of a per-query serial refine loop.
 
     Each query visits candidates in lower-bound order, ``chunk`` at a time,
-    and stops at the first unseen bound beyond its k-th distance; the
-    batched loop runs one round while any query of the block is active.
+    until it has a k-th distance.  Then its frontier, the candidates whose
+    bound is within that distance, takes ``max(bound, transport -
+    allowance)`` and re-sorts by it, and each later round refines only the
+    candidates whose bound is within the current k-th distance; the query
+    stops at the first one beyond it.  The batched loop runs one round
+    while any query of the block is active.
     """
     table = engine.table
     recon = table.reconstruction_array
@@ -96,9 +113,13 @@ def _serial_model(engine, queries, k, chunk, use_index):
     cells = (queries[:, :, None] - recon[None, None, :]) ** 2
     if use_index:
         index = engine.index()
+        bands = index.bands_for(symbols.shape[1])
         bounds = histogram_bound(
-            banded_min_cells(cells, index.bands_for(symbols.shape[1]), index.n_bands),
+            banded_min_cells(cells, bands, index.n_bands),
             index.float_histograms,
+        )
+        _, allowance = transport_bound(
+            queries, bands, index.n_bands, recon, index.band_histograms
         )
     else:
         bounds = np.zeros((queries.shape[0], n))
@@ -107,14 +128,34 @@ def _serial_model(engine, queries, k, chunk, use_index):
     for q in range(queries.shape[0]):
         d2 = ((queries[q][None, :] - recon[symbols]) ** 2).sum(axis=1)
         order = np.argsort(bounds[q], kind="stable")
-        kth, at, steps = np.inf, 0, 0
+        keys = bounds[q][order]
+        kth, at, steps, frontier = np.inf, 0, 0, False
         while at < n:
-            if at >= kk and not bounds[q, order[at]] <= kth * (1.0 + _PRUNE_SLACK):
-                break
-            at = min(at + chunk, n)
-            steps += 1
+            full = min(at + chunk, n)
+            hi = full
             if at >= kk:
-                kth = np.partition(d2[order[:at]], kk - 1)[kk - 1]
+                limit = kth * (1.0 + _PRUNE_SLACK)
+                if use_index and not frontier:
+                    stop = at + int(np.sum(keys[at:] <= limit))
+                    tight = [
+                        max(keys[j], _transport(queries[q], symbols[order[j]],
+                                                bands, recon)
+                            - allowance[q, order[j]])
+                        for j in range(at, stop)
+                    ]
+                    resort = np.argsort(tight, kind="stable")
+                    order[at:stop] = order[at:stop][resort]
+                    keys[at:stop] = np.asarray(tight)[resort]
+                frontier = True
+                hi = at + int(np.sum(keys[at:full] <= limit))
+                if hi == at:
+                    break
+            steps += 1
+            if hi >= kk:
+                kth = np.partition(d2[order[:hi]], kk - 1)[kk - 1]
+            at = hi
+            if hi < full:
+                break
         refined += at
         rounds = max(rounds, steps)
     return refined, rounds
